@@ -78,7 +78,7 @@ def cmd_sample_qtasep(args) -> int:
 def cmd_couple_check(args) -> int:
     p = _load_params(args)
     path = qtasep.TimeLikePath.from_moves(args.path)
-    rep = coupling.theorem_capling_check(path, p, r=args.order)
+    rep = coupling.theorem_coupling_check(path, p, r=args.order)
     _emit(args, "couple_check.json", rep.to_json() + "\n")
     return 0 if rep.passed else 1
 
@@ -164,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON parameter config")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=100_000)
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
     sp = sub.add_parser("sample-vertex", help="sample the quadrant model")
     common(sp)

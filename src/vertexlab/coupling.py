@@ -309,7 +309,7 @@ def _tasep_joint_law(
     return law, deficit
 
 
-def theorem_capling_check(
+def theorem_coupling_check(
     path: TimeLikePath,
     p: ModelParams,
     r: int = 1,

@@ -1,10 +1,10 @@
-"""Experiment orchestration: Monte Carlo estimation, statistical comparison,
-and the suite of verification checks with one check id per acceptance
-criterion.
+"""Experiment orchestration: statistical comparison and the suite of
+verification checks with one check id per acceptance criterion.
 
-Every check is deterministic given its seed: replica streams come from the
+Every check is deterministic given its seed: random streams come from the
 counter-based generator in rng, so reports are byte-identical across runs
-and shard counts (runtimes excluded).
+with the same seed (runtimes excluded).  Batch samplers draw all replicas
+from one stream, so their output also depends on the replica count.
 """
 
 from __future__ import annotations
@@ -21,27 +21,6 @@ from scipy import stats
 from . import coupling, diffops, moments, qtasep, schur, vertex
 from .core import ModelParams, Specialization
 from .rng import stream
-
-
-def mc_estimate(sampler, observable, budget: int, seeds) -> tuple:
-    """Shard `budget` across seeds; sampler(seed, n) -> raw samples,
-    observable(raw) -> value array.  Streaming mean/variance aggregation;
-    deterministic given the seed list."""
-    seeds = list(seeds)
-    if budget < 1000:
-        raise ValueError("budget must be >= 1000")
-    shard = budget // len(seeds)
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    for s in seeds:
-        vals = np.asarray(observable(sampler(s, shard)), dtype=float)
-        count += vals.size
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-    mean = total / count
-    var = max(total_sq / count - mean**2, 0.0) * count / max(count - 1, 1)
-    return mean, math.sqrt(var / count)
 
 
 @dataclass
@@ -432,17 +411,17 @@ def check_coupling_theorem(seed: int = 0, budget: int = 10) -> CheckResult:
     details = {}
     for n_steps in (0, 1, 2, 3):
         for path in _all_paths(n_steps):
-            rep = coupling.theorem_capling_check(path, p)
+            rep = coupling.theorem_coupling_check(path, p)
             worst = max(worst, rep.tv_distance + rep.truncation_deficit)
     for _ in range(budget):
         moves = "".join(rng.choice(["N", "T"], 4))
-        rep = coupling.theorem_capling_check(qtasep.TimeLikePath.from_moves(moves), p)
+        rep = coupling.theorem_coupling_check(qtasep.TimeLikePath.from_moves(moves), p)
         worst = max(worst, rep.tv_distance + rep.truncation_deficit)
         details[moves] = rep.tv_distance
     # generalized step-Bernoulli, order 2
     nu2 = (0.0, 0.0) + p.nu[2:]
     p2 = ModelParams(q=p.q, u=p.u, a=p.a, nu=nu2)
-    rep = coupling.theorem_capling_check(
+    rep = coupling.theorem_coupling_check(
         qtasep.TimeLikePath.from_moves("TNT"), p2, r=2
     )
     worst = max(worst, rep.tv_distance + rep.truncation_deficit)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,16 +284,37 @@ def run_mixed(
     return Trajectory(path.points, tuple(moves), tuple(configs), tuple(xvals))
 
 
-def _geom_cdf_rows(alpha: float, q: float, m_cap: int, j_cap: int) -> np.ndarray:
-    """Cumulative jump tables for one alpha: rows m = 0..m_cap-1 are the
-    finite laws, row m_cap approximates every larger gap by the infinite-gap
-    law (error below alpha^{m_cap})."""
+def _gap_cap(q: float) -> int:
+    """Smallest K with q^K / (1 - q) < GEOM_TAIL_CUT.  From gap K on, the
+    Bernoulli blocking factor q^gap is below the cut, and so is the distance
+    from one of the finite-gap factors (1 - q^k), (1 - alpha q^k), k >= K,
+    of the jump law."""
+    return math.ceil(math.log(GEOM_TAIL_CUT * (1.0 - q)) / math.log(q))
+
+
+def _geom_cdf_rows(alpha: float, q: float) -> np.ndarray:
+    """Cumulative jump tables for one rate alpha.  Columns j = 0..J end where
+    the infinite-gap law reaches 1 - GEOM_TAIL_CUT; rows m = 0..m_cap-1 are
+    the finite-gap laws and row m_cap = J + _gap_cap(q) is the infinite-gap
+    law, which stands in for every gap >= m_cap."""
+    pairs, _ = q_geom_law(INFINITY, alpha, q)
+    j_cap = len(pairs) - 1
+    m_cap = j_cap + _gap_cap(q)
+    # q_geom_pmf's formula, with (q; q)_k and (alpha; q)_k formed by the same
+    # sequential products as q_pochhammer: each entry equals a q_geom_pmf call
+    poch_q, poch_a = (
+        np.r_[1.0, np.cumprod(1.0 - np.cumprod(np.r_[z, np.full(m_cap - 1, q)]))]
+        for z in (q, alpha)
+    )
+    m = np.arange(m_cap)[:, None]
+    j = np.arange(j_cap + 1)[None, :]
+    k = np.maximum(m - j, 0)
+    apow = np.array([alpha**i for i in range(j_cap + 1)])
     table = np.zeros((m_cap + 1, j_cap + 1))
-    for m in range(m_cap):
-        for j in range(min(m, j_cap) + 1):
-            table[m, j] = q_geom_pmf(m, alpha, q, j)
-    for j in range(j_cap + 1):
-        table[m_cap, j] = q_geom_pmf(INFINITY, alpha, q, j)
+    table[:m_cap] = np.where(
+        j <= m, apow * poch_a[k] * poch_q[m] / (poch_q[j] * poch_q[k]), 0.0
+    )
+    table[m_cap] = [w for _, w in pairs]
     return np.cumsum(table, axis=1)
 
 
@@ -303,55 +325,50 @@ def sample_mixed_batch(
     n_samples: int,
     seed: int,
     L: int | None = None,
-    m_cap: int = 64,
-    j_cap: int = 64,
 ) -> np.ndarray:
     """Vectorized mixed q-TASEP: N-1 geometric moves (alpha = c_2..c_N) and
     T Bernoulli moves (beta = -u_1..-u_T) from the step configuration.
-    Returns positions of shape (n_samples, L)."""
+    Jump laws and the blocking factor q^gap are cut at GEOM_TAIL_CUT (see
+    _geom_cdf_rows and _gap_cap).  Returns positions of shape (n_samples, L)."""
     if L is None:
         L = N
     rng = stream(seed, 0)
     R = int(n_samples)
     a = np.array(p.a[:L])
     X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
-    c = p.c
-    width = j_cap + 1
+    tables = {}  # rate a_i * alpha -> (cdf table, rows laid out on [m, m+1))
     for n in range(2, N + 1):
-        alpha = c[n - 1]
+        alpha = p.c[n - 1]
         if alpha <= 0.0:
             raise ValueError(f"geometric move needs nu_{n} > 0")
-        flats = {}
-        for ai in sorted(set(p.a[:L])):
+        for ai in set(p.a[:L]):
             if ai * alpha >= 1.0:
                 raise ValueError(f"rate violation: a*alpha = {ai * alpha} >= 1")
-            cdf = _geom_cdf_rows(ai * alpha, p.q, m_cap, j_cap)
-            flats[ai] = (cdf + np.arange(m_cap + 1)[:, None]).ravel()
-        gaps_true = X[:, :-1] - X[:, 1:] - 1
-        rows = np.minimum(gaps_true, m_cap)
-        jumps = np.zeros_like(rows)
-        u_draw = rng.random(rows.shape)
-        for ai, flat in flats.items():
-            mask = np.nonzero(a[1:] == ai)[0]
-            if len(mask) == 0 and p.a[0] != ai:
-                continue
-            if len(mask):
-                sub = rows[:, mask]
-                queries = sub + np.minimum(u_draw[:, mask], 1 - 1e-16)
-                pos = np.searchsorted(flat, queries.ravel(), side="left")
-                jumps[:, mask] = (pos - sub.ravel() * width).reshape(sub.shape)
-        jumps = np.minimum(jumps, np.minimum(gaps_true, j_cap))
-        inf_row = flats[p.a[0]][m_cap * width : (m_cap + 1) * width] - m_cap
-        j_first = np.searchsorted(inf_row, rng.random(R))
-        X[:, 0] += j_first
+            if ai * alpha not in tables:
+                cdf = _geom_cdf_rows(ai * alpha, p.q)
+                tables[ai * alpha] = (cdf, (cdf + np.arange(len(cdf))[:, None]).ravel())
+        gaps = X[:, :-1] - X[:, 1:] - 1
+        u_draw = np.minimum(rng.random(gaps.shape), 1 - 1e-16)
+        jumps = np.empty_like(gaps)
+        bulk = set(p.a[1:L])
+        for ai in bulk:
+            cols = a[1:] == ai if len(bulk) > 1 else slice(None)
+            cdf, flat = tables[ai * alpha]
+            m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
+            rows = np.minimum(gaps[:, cols], m_cap)
+            pos = np.searchsorted(flat, (rows + u_draw[:, cols]).ravel(), side="left")
+            j = (pos - rows.ravel() * width).reshape(rows.shape)
+            jumps[:, cols] = np.minimum(j, np.minimum(gaps[:, cols], width - 1))
+        X[:, 0] += np.searchsorted(tables[a[0] * alpha][0][-1], rng.random(R))
         X[:, 1:] += jumps
-    qpow = p.q ** np.arange(m_cap + 1, dtype=np.float64)
+    k_cap = _gap_cap(p.q)
+    qpow = p.q ** np.arange(k_cap + 1, dtype=np.float64)
     idx = np.arange(1, L + 1, dtype=np.int64)
     for t in range(T):
         beta = -p.u[t]
         p_jump = a * beta / (1.0 + a * beta)
         V = rng.random((R, L))
-        gaps = np.minimum(X[:, :-1] - X[:, 1:] - 1, m_cap)
+        gaps = np.minimum(X[:, :-1] - X[:, 1:] - 1, k_cap)
         block = qpow[gaps]
         A = np.empty((R, L), dtype=bool)
         A[:, 0] = V[:, 0] < p_jump[0]

@@ -1,9 +1,9 @@
 """Counter-based random streams.
 
-Replica streams are keyed by (seed, stream index) through the Philox
-counter-based generator, so they are independent by construction and
-invariant under re-sharding: stream k is the same bits no matter how many
-other streams exist or in which order they are consumed.
+Streams are keyed by (seed, stream index) through the Philox counter-based
+generator, so they are independent by construction: stream k is the same
+bits no matter how many other streams exist or in which order they are
+consumed.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import airy
 
-from .core import INFINITY, q_pochhammer
-from .rng import stream
+from . import qtasep
+from .core import ModelParams
 
 BETA_FACTOR_TOL = 1e-18
 
@@ -374,95 +374,15 @@ def tracy_widom_cdf(r: float, n_nodes: int = 48, scale: float = 2.0) -> float:
 # Large-scale q-TASEP simulation with special parameters
 
 
-def _geom_cdf_table(q: float, alpha: float, m_cap: int, j_cap: int) -> np.ndarray:
-    """CDF table rows m = 0..m_cap (row m_cap doubles as the m = inf law),
-    columns j = 0..j_cap."""
-    table = np.zeros((m_cap + 1, j_cap + 1))
-    for m in range(m_cap):
-        for j in range(min(m, j_cap) + 1):
-            table[m, j] = float(
-                alpha**j
-                * q_pochhammer(alpha, q, m - j)
-                * q_pochhammer(q, q, m)
-                / (q_pochhammer(q, q, j) * q_pochhammer(q, q, m - j))
-            )
-    for j in range(j_cap + 1):
-        table[m_cap, j] = float(
-            alpha**j * q_pochhammer(alpha, q, INFINITY) / q_pochhammer(q, q, j)
-        )
-    return np.cumsum(table, axis=1)
-
-
-def _sample_rows(flat_cdf: np.ndarray, width: int, rows: np.ndarray, rng, shape):
-    u = rng.random(shape)
-    queries = rows.astype(np.float64) + np.minimum(u, 1.0 - 1e-16)
-    pos = np.searchsorted(flat_cdf, queries.ravel(), side="left")
-    return (pos - rows.ravel() * width).reshape(shape).astype(np.int64)
-
-
-def simulate_special_qtasep(
-    q: float,
-    u: float,
-    a1: float,
-    N: int,
-    T: int,
-    replicas: int,
-    seed: int,
-    m_cap: int = 160,
-    j_cap: int = 64,
+def _special_positions(
+    q: float, u: float, a1: float, N: int, T: int, replicas: int, seed: int
 ) -> np.ndarray:
-    """Vectorized mixed q-TASEP with geometric parameter alpha = q and
-    Bernoulli parameter beta = -u; rates a_1 = a1, a_i = 1 (i >= 2).
-    Returns the replica values of x_N(N, T)."""
-    if a1 * q >= 1.0:
-        raise ValueError(f"rate violation: a1*q = {a1 * q} >= 1")
-    rng = stream(seed, 0)
-    R = int(replicas)
-    L = N
-    X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
-    beta = -u
-    p_jump = np.full(L, beta / (1.0 + beta))
-    p_jump[0] = a1 * beta / (1.0 + a1 * beta)
-    cdf_bulk = _geom_cdf_table(q, q, m_cap, j_cap)
-    # pad rows to a common monotone flat array: row m lives on [m, m+1)
-    flat_bulk = (cdf_bulk + np.arange(m_cap + 1)[:, None]).ravel()
-    width = j_cap + 1
-    first_pairs = []
-    acc = 0.0
-    jv = 0
-    while acc < 1.0 - 1e-14:
-        w = float(
-            (a1 * q) ** jv
-            * q_pochhammer(a1 * q, q, INFINITY)
-            / q_pochhammer(q, q, jv)
-        )
-        first_pairs.append(w)
-        acc += w
-        jv += 1
-    first_cdf = np.cumsum(first_pairs)
-    qpow = q ** np.arange(m_cap + 1, dtype=np.float64)
-
-    idx = np.arange(1, L + 1, dtype=np.int64)
-    for _ in range(N - 1):  # geometric moves, parallel update (pre-move gaps)
-        gaps_true = X[:, :-1] - X[:, 1:] - 1
-        rows = np.minimum(gaps_true, m_cap)
-        jumps = _sample_rows(flat_bulk, width, rows, rng, rows.shape)
-        jumps = np.minimum(jumps, np.minimum(gaps_true, j_cap))
-        j_first = np.searchsorted(first_cdf, rng.random(R))
-        X[:, 0] += j_first
-        X[:, 1:] += jumps
-    for t in range(T):  # Bernoulli moves, sequential right to left
-        V = rng.random((R, L))
-        gaps = np.minimum(X[:, :-1] - X[:, 1:] - 1, m_cap)
-        block = qpow[gaps]
-        A = np.empty((R, L), dtype=bool)
-        A[:, 0] = V[:, 0] < p_jump[0]
-        A[:, 1:] = V[:, 1:] < p_jump[1:] * (1.0 - block)
-        B = V < p_jump[None, :]
-        last_a = np.maximum.accumulate(np.where(A, idx[None, :], 0), axis=1)
-        last_nb = np.maximum.accumulate(np.where(~B, idx[None, :], 0), axis=1)
-        X += ((last_a >= last_nb) & (last_a > 0)).astype(np.int64)
-    return X[:, N - 1].copy()
+    """Replica values of x_N(N, T) under the mixed q-TASEP with the special
+    parameters: geometric alpha = q, Bernoulli beta = -u, rates (a1, 1, ...)."""
+    p = ModelParams(
+        q=q, u=(u,) * T, a=(a1,) + (1.0,) * (N - 1), nu=(0.0,) + (q,) * (N - 1)
+    )
+    return qtasep.sample_mixed_batch(p, N, T, replicas, seed)[:, N - 1]
 
 
 @dataclass
@@ -542,7 +462,7 @@ def asymptotic_equivalence_proxy(
             return 0.0
         return 1.0 - cdfs[k]
 
-    xs = simulate_special_qtasep(q, u, a1, N, T, replicas, seed) + N
+    xs = _special_positions(q, u, a1, N, T, replicas, seed) + N
     vals, counts = np.unique(xs, return_counts=True)
     emp = np.cumsum(counts) / len(xs)
     ks = 0.0
@@ -571,7 +491,7 @@ def asymptotics_experiment(
     samples = {}
     for k, M in enumerate(m_list):
         N, T = int(eta * M), int(tau * M)
-        samples[M] = simulate_special_qtasep(q, u, a1, N, T, replicas, seed + k)
+        samples[M] = _special_positions(q, u, a1, N, T, replicas, seed + k)
     m_top = max(m_list)
     xs = samples[m_top]
     mean_err = abs(xs.mean() / m_top - x_th)

@@ -195,7 +195,9 @@ def sample_quadrant_batch(
     rng = stream(seed, 0)
     S = int(n_samples)
     m = np.zeros((S, n_max), dtype=np.int32)
-    heights = np.zeros((S, t_max + 1, n_max + 1), dtype=np.int16)
+    # heights are at most t_max; int16 halves the memory of large batches
+    dtype = np.int16 if t_max < 2**15 else np.int32
+    heights = np.zeros((S, t_max + 1, n_max + 1), dtype=dtype)
     exited = np.zeros(S, dtype=np.int32)
     for T in range(1, t_max + 1):
         u = p.u[T - 1]

@@ -29,6 +29,13 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--budget", "1000"), ("--format", "jsonl")])
+def test_removed_flags_are_usage_errors(config, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample-vertex", "--config", config, flag, value])
+    assert exc.value.code == 2
+
+
 def test_sample_vertex(config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(

@@ -9,7 +9,7 @@ from vertexlab.coupling import (
     joint_law_check_prop_A,
     joint_law_check_prop_B,
     sample_y_dagger,
-    theorem_capling_check,
+    theorem_coupling_check,
     y_dagger_law,
 )
 from vertexlab.qtasep import TimeLikePath
@@ -134,13 +134,13 @@ def _params_bernoulli():
 
 def test_theorem_point_mass():
     p = _params_bernoulli()
-    rep = theorem_capling_check(TimeLikePath.from_moves(""), p)
+    rep = theorem_coupling_check(TimeLikePath.from_moves(""), p)
     assert rep.tv_distance == 0.0 and rep.passed
 
 
 def test_theorem_single_bernoulli_row():
     p = _params_bernoulli()
-    rep = theorem_capling_check(TimeLikePath.from_moves("T"), p)
+    rep = theorem_coupling_check(TimeLikePath.from_moves("T"), p)
     assert rep.tv_distance <= 1e-12
     from vertexlab.coupling import _vertex_joint_law
 
@@ -153,7 +153,7 @@ def test_theorem_single_bernoulli_row():
 def test_theorem_requires_boundary_zeros():
     p = ModelParams(q=0.5, u=(-1.0,), a=(1.0, 1.0), nu=(0.2, 0.3))
     with pytest.raises(ValueError):
-        theorem_capling_check(TimeLikePath.from_moves("T"), p)
+        theorem_coupling_check(TimeLikePath.from_moves("T"), p)
 
 
 def test_theorem_all_short_paths():
@@ -162,7 +162,7 @@ def test_theorem_all_short_paths():
 
     for n in range(4):
         for moves in itertools.product("NT", repeat=n):
-            rep = theorem_capling_check(TimeLikePath.from_moves("".join(moves)), p)
+            rep = theorem_coupling_check(TimeLikePath.from_moves("".join(moves)), p)
             assert rep.tv_distance + rep.truncation_deficit <= 1e-8, moves
 
 
@@ -173,7 +173,7 @@ def test_theorem_generalized_step_bernoulli():
         a=(1.0, 0.9, 1.1, 0.95, 1.0),
         nu=(0.0, 0.0, 0.4, 0.3, 0.25),
     )
-    rep = theorem_capling_check(TimeLikePath.from_moves("TNT"), p, r=2)
+    rep = theorem_coupling_check(TimeLikePath.from_moves("TNT"), p, r=2)
     assert rep.tv_distance + rep.truncation_deficit <= 1e-8
     assert rep.passed
 
@@ -182,7 +182,7 @@ def test_report_json_fields():
     import json
 
     p = _params_bernoulli()
-    rep = theorem_capling_check(TimeLikePath.from_moves("T"), p)
+    rep = theorem_coupling_check(TimeLikePath.from_moves("T"), p)
     doc = json.loads(rep.to_json())
     assert set(doc) == {"check", "params_digest", "tv_distance",
                         "truncation_deficit", "pass"}

@@ -7,38 +7,10 @@ from vertexlab import harness
 from vertexlab.harness import (
     distribution_compare,
     draw_params,
-    mc_estimate,
     run_suite,
 )
 from vertexlab.core import validate_params
 from vertexlab.rng import stream
-
-
-def test_mc_estimate_constant():
-    mean, se = mc_estimate(
-        lambda seed, n: np.zeros(n), lambda raw: raw + 3.0, 2000, [0, 1]
-    )
-    assert mean == 3.0 and se == 0.0
-
-
-def test_mc_estimate_bernoulli():
-    def sampler(seed, n):
-        return stream(seed, 0).random(n) < 0.5
-
-    mean, se = mc_estimate(sampler, lambda raw: raw.astype(float), 10**6, range(8))
-    assert abs(mean - 0.5) <= 4 * se
-    assert abs(se - 0.0005) < 0.0001
-
-
-def test_mc_estimate_deterministic():
-    def sampler(seed, n):
-        return stream(seed, 0).random(n)
-
-    a = mc_estimate(sampler, lambda r: r, 10_000, [3, 4])
-    b = mc_estimate(sampler, lambda r: r, 10_000, [3, 4])
-    assert a == b
-    with pytest.raises(ValueError):
-        mc_estimate(sampler, lambda r: r, 10, [0])
 
 
 def test_distribution_compare_tv():

@@ -6,6 +6,8 @@ import pytest
 
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.qtasep import (
+    GEOM_TAIL_CUT,
+    _geom_cdf_rows,
     ParticleConfig,
     TimeLikePath,
     bernoulli_law,
@@ -251,3 +253,50 @@ def test_sample_mixed_batch_matches_exact():
     for k, want in exact.items():
         se = math.sqrt(max(want * (1 - want), 1e-12) / S)
         assert abs(emp.get(k, 0.0) - want) < 5 * se + 1e-9
+
+
+def test_sample_mixed_batch_first_jump_not_capped():
+    # a_1 * c_2 = 0.95: this law has 3.9% of its mass beyond jump 64
+    p = ModelParams(q=0.5, u=(-1.0,), a=(1.9, 1.0), nu=(0.0, 0.5))
+    S = 200_000
+    jumps = sample_mixed_batch(p, 2, 0, S, seed=11)[:, 0] + 1
+    pairs, _ = q_geom_law(INFINITY, 0.95, 0.5)
+    mean = sum(j * w for j, w in pairs)
+    var = sum(j * j * w for j, w in pairs) - mean**2
+    z = (jumps.mean() - mean) / math.sqrt(var / S)
+    assert abs(z) < 4.0
+
+
+def test_sample_mixed_batch_bernoulli_only_with_spectators():
+    # N = 1 builds no jump table; the blocking factor q^gap still applies
+    p = ModelParams(q=0.6, u=(-0.8, -1.3), a=(1.2, 0.9, 1.0), nu=(0.0, 0.3, 0.4))
+    dist = {(-1, -2, -3): 1.0}
+    for t in range(2):
+        new: dict = {}
+        for cfg, pr in dist.items():
+            for tgt, w in bernoulli_law(cfg, p.a, -p.u[t], p.q):
+                new[tgt] = new.get(tgt, 0.0) + pr * w
+        dist = new
+    S = 200_000
+    X = sample_mixed_batch(p, 1, 2, S, seed=5, L=3)
+    emp = {tuple(r): c / S for r, c in zip(*np.unique(X, axis=0, return_counts=True))}
+    for cfg, want in dist.items():
+        se = math.sqrt(max(want * (1 - want), 1e-12) / S)
+        assert abs(emp.get(cfg, 0.0) - want) < 5 * se + 1e-9
+
+
+@pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.95, 0.5), (0.05, 0.95), (0.83, 0.3)])
+def test_geom_cdf_rows_exact_and_cut_at_tail(alpha, q):
+    cdf = _geom_cdf_rows(alpha, q)
+    m_cap, j_cap = cdf.shape[0] - 1, cdf.shape[1] - 1
+    for m in (0, 1, j_cap // 2, j_cap, m_cap - 1):
+        row = [q_geom_pmf(m, alpha, q, j) for j in range(min(m, j_cap) + 1)]
+        assert np.array_equal(cdf[m, : len(row)], np.cumsum(row))
+    pairs, deficit = q_geom_law(INFINITY, alpha, q)
+    assert np.array_equal(cdf[m_cap], np.cumsum([w for _, w in pairs]))
+    assert deficit <= GEOM_TAIL_CUT
+    # the infinite-gap row stands in for every gap >= m_cap
+    inf = dict(pairs)
+    for m in (m_cap, m_cap + 7, 2 * m_cap):
+        tv = 0.5 * sum(abs(q_geom_pmf(m, alpha, q, j) - inf.get(j, 0.0)) for j in range(m + 1))
+        assert tv <= GEOM_TAIL_CUT

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from vertexlab.core import ModelParams
+from vertexlab.qtasep import sample_mixed_batch
 from vertexlab.schur import (
     SchurSetup,
     asymptotic_equivalence_proxy,
@@ -17,13 +19,18 @@ from vertexlab.schur import (
     schur_kernel_matrix,
     schur_length_pmf,
     sigma_from_g,
-    simulate_special_qtasep,
     tracy_widom_cdf,
 )
 
 
 def _setup(N=3, T=3, u=-2.0, a1=1.2):
     return SchurSetup(q=0.5, u=u, a1=a1, N=N, T=T)
+
+
+def _special_x(q, u, a1, N, T, replicas, seed):
+    """x_N(N, T) from the q-TASEP kernel at the special parameters."""
+    p = ModelParams(q=q, u=(u,) * T, a=(a1,) + (1.0,) * (N - 1), nu=(0.0,) + (q,) * (N - 1))
+    return sample_mixed_batch(p, N, T, replicas, seed)[:, N - 1]
 
 
 def test_setup_validation():
@@ -167,7 +174,7 @@ def test_simulator_matches_exact_small_law():
     for cfg, pr in dist.items():
         exact[cfg[N - 1]] = exact.get(cfg[N - 1], 0.0) + pr
     S = 150_000
-    xs = simulate_special_qtasep(q, u, a1, N, T, S, seed=3)
+    xs = _special_x(q, u, a1, N, T, S, seed=3)
     emp = {v: c / S for v, c in zip(*np.unique(xs, return_counts=True))}
     for k, want in exact.items():
         se = math.sqrt(max(want * (1 - want), 1e-12) / S)
@@ -188,7 +195,7 @@ def test_asymptotics_report_formats():
 
 def test_flat_regime_mean():
     M = 150
-    xs = simulate_special_qtasep(0.5, -1.0, 1.0, M, M // 2, 100, seed=5)
+    xs = _special_x(0.5, -1.0, 1.0, M, M // 2, 100, seed=5)
     assert abs(xs.mean() / M + 1.0) <= 0.05
 
 

@@ -235,3 +235,11 @@ def test_row_partitions():
     assert list(row_partitions(0, 3)) == [()]
     parts = list(row_partitions(2, 3))
     assert parts == [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (3, 3)]
+
+
+def test_batch_heights_do_not_wrap_past_int16():
+    t_max = 2**15 + 10
+    p = ModelParams(q=0.5, u=(-1e6,) * t_max, a=(1.0,), nu=(0.5,))
+    h = sample_quadrant_batch(p, STEP, (1, t_max), 2, seed=0)
+    assert (np.diff(h, axis=1) >= 0).all()
+    assert h[:, -1, 0].min() > 2**15
