@@ -108,15 +108,21 @@ def cmd_diffops_check(args) -> int:
 
 
 def cmd_schur(args) -> int:
+    if args.cutoff is not None and args.mode != "length-pmf":
+        raise ValueError("--cutoff applies only to --mode length-pmf")
+    if args.r is not None and args.mode != "tracy-widom":
+        raise ValueError("--r applies only to --mode tracy-widom")
     s = schur.SchurSetup(q=args.q, u=args.u, a1=args.a1, N=args.N, T=args.T)
     if args.mode == "length-pmf":
-        pmf = schur.schur_length_pmf(s, part_cutoff=args.cutoff)
+        cutoff = 40 if args.cutoff is None else args.cutoff
+        pmf = schur.schur_length_pmf(s, part_cutoff=cutoff)
         text = json.dumps({str(k): v for k, v in pmf.items()}, indent=2) + "\n"
     elif args.mode == "fredholm":
         cdf = schur.fredholm_length_cdf(s, range(s.T + 1))
         text = json.dumps({str(k): v for k, v in cdf.items()}, indent=2) + "\n"
     elif args.mode == "tracy-widom":
-        text = json.dumps({"r": args.r, "F": schur.tracy_widom_cdf(args.r)}) + "\n"
+        r = 0.0 if args.r is None else args.r
+        text = json.dumps({"r": r, "F": schur.tracy_widom_cdf(r)}) + "\n"
     else:
         raise SystemExit(2)
     _emit(args, f"schur_{args.mode}.json", text)
@@ -205,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a1", type=float, default=1.0)
     sp.add_argument("--N", type=int, default=3)
     sp.add_argument("--T", type=int, default=3)
-    sp.add_argument("--cutoff", type=int, default=40)
-    sp.add_argument("--r", type=float, default=0.0)
+    sp.add_argument("--cutoff", type=int, default=None,
+                    help="part cutoff of --mode length-pmf (default 40)")
+    sp.add_argument("--r", type=float, default=None,
+                    help="argument of --mode tracy-widom (default 0)")
     sp.set_defaults(fn=cmd_schur)
 
     sp = sub.add_parser("asymptotics", help="law of large numbers / fluctuations")

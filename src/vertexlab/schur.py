@@ -10,6 +10,7 @@ moves then have alpha = q and Bernoulli moves beta = -u.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,9 @@ from . import qtasep
 from .core import ModelParams
 
 BETA_FACTOR_TOL = 1e-18
+# partitions per stacked Jacobi-Trudi determinant call; bounds the memory of
+# the brute force whatever T and the part cutoff
+BRUTEFORCE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -79,30 +83,58 @@ def _h_from_alpha(alphas, n_max: int) -> np.ndarray:
     return h
 
 
-def schur_jacobi_trudi(parts, h: np.ndarray) -> float:
-    """s_lambda = det(h_{lambda_i - i + j}) over precomputed h coefficients."""
-    parts = [x for x in parts if x > 0]
-    ell = len(parts)
+def schur_jacobi_trudi(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """s_lambda = det(h_{lambda_i - i + j}) for a stack of partitions.
+
+    parts is an (n, ell) integer array whose rows are partitions of length
+    ell, largest part first; h_k is taken as 0 for k < 0 and k >= len(h).
+    All n determinants come from one stacked np.linalg.det call.
+    """
+    ell = parts.shape[1]
     if ell == 0:
-        return 1.0
-    mat = np.zeros((ell, ell))
-    for i in range(ell):
-        for j in range(ell):
-            k = parts[i] - (i + 1) + (j + 1)
-            if 0 <= k < len(h):
-                mat[i, j] = h[k]
-    return float(np.linalg.det(mat))
+        return np.ones(parts.shape[0])
+    shift = np.arange(ell)
+    k = parts[:, :, None] + (shift[None, :] - shift[:, None])
+    inside = (k >= 0) & (k < len(h))
+    return np.linalg.det(np.where(inside, h[np.clip(k, 0, len(h) - 1)], 0.0))
 
 
-def _partitions_bounded(max_len: int, max_part: int):
-    """Partitions with at most max_len parts, parts <= max_part."""
-    import itertools
+def _schur_weight_chunks(s: SchurSetup, part_cutoff: int, deficit_tol: float):
+    """Schur-measure weights of the partitions with at most T rows and parts
+    <= part_cutoff, as (combos, w) pairs of at most BRUTEFORCE_CHUNK
+    partitions of one length each.
 
-    for ell in range(max_len + 1):
-        for combo in itertools.combinations_with_replacement(
-            range(1, max_part + 1), ell
-        ):
-            yield tuple(sorted(combo, reverse=True))
+    Lengths run 0..T, and within a length the partitions come in the order
+    of itertools.combinations_with_replacement; combos holds those
+    nondecreasing tuples, so a partition is a combo read backwards.  After
+    the last chunk the enumerated mass is checked once: ValueError if it
+    misses 1 by more than deficit_tol.
+    """
+    x = -1.0 / s.u
+    betas = s.rho_betas()
+    n_max = part_cutoff + s.T + 1
+    h_x = _h_from_alpha([x] * s.T, n_max)
+    h_rho = _h_from_beta(betas, n_max)
+    pi_s = math.exp(s.T * sum(math.log1p(b * x) for b in betas))
+    total_w = 0.0
+    for ell in range(s.T + 1):
+        combos_iter = itertools.combinations_with_replacement(
+            range(1, part_cutoff + 1), ell
+        )
+        while combos := list(itertools.islice(combos_iter, BRUTEFORCE_CHUNK)):
+            parts = np.array(combos, dtype=np.int64)[:, ::-1]
+            w = schur_jacobi_trudi(parts, h_x) * schur_jacobi_trudi(parts, h_rho) / pi_s
+            total_w = _running_sum(total_w, w)
+            yield combos, w
+    if abs(total_w - 1.0) > deficit_tol:
+        raise ValueError(
+            f"partition cutoff too small: enumerated mass {total_w}"
+        )
+
+
+def _running_sum(start: float, w: np.ndarray) -> float:
+    """((start + w[0]) + w[1]) + ..., the plain sequential sum."""
+    return float(np.cumsum(np.concatenate(([start], w)))[-1])
 
 
 def schur_bruteforce_expectation(
@@ -111,39 +143,30 @@ def schur_bruteforce_expectation(
     """Expectation of observable(lambda) under the Schur measure by direct
     enumeration of partitions with at most T rows and parts <= part_cutoff.
 
-    observable receives the partition padded with zeros to length T.
-    Raises if the enumerated weights miss more than deficit_tol of the mass.
+    observable receives the partition padded with zeros to length T.  The
+    partitions are enumerated once, in chunks whose Jacobi-Trudi
+    determinants are evaluated stacked; the sum runs sequentially in
+    enumeration order.  Raises if the enumerated weights miss more than
+    deficit_tol of the mass.
     """
-    x = -1.0 / s.u
-    betas = s.rho_betas()
-    n_max = part_cutoff + s.T + 1
-    h_x = _h_from_alpha([x] * s.T, n_max)
-    h_rho = _h_from_beta(betas, n_max)
-    log_pi = s.T * sum(math.log1p(b * x) for b in betas)
-    pi_s = math.exp(log_pi)
-    total_w = 0.0
     total = 0.0
-    for parts in _partitions_bounded(s.T, part_cutoff):
-        w = schur_jacobi_trudi(parts, h_x) * schur_jacobi_trudi(parts, h_rho) / pi_s
-        padded = parts + (0,) * (s.T - len(parts))
-        total_w += w
-        total += w * observable(padded)
-    if abs(total_w - 1.0) > deficit_tol:
-        raise ValueError(
-            f"partition cutoff too small: enumerated mass {total_w}"
-        )
+    for combos, w in _schur_weight_chunks(s, part_cutoff, deficit_tol):
+        for combo, wv in zip(combos, w.tolist()):
+            total += wv * observable(combo[::-1] + (0,) * (s.T - len(combo)))
     return total
 
 
 def schur_length_pmf(s: SchurSetup, part_cutoff: int = 40) -> dict:
-    """P(ell(lambda) = k) by brute-force enumeration."""
+    """P(ell(lambda) = k) by brute-force enumeration.
+
+    One pass over the partitions bins the weights by length, each bin summed
+    sequentially in enumeration order; the mass deficit is checked once, as
+    in schur_bruteforce_expectation.
+    """
     pmf: dict = {k: 0.0 for k in range(s.T + 1)}
-
-    def obs_factory(k):
-        return lambda lam: 1.0 if sum(1 for x in lam if x > 0) == k else 0.0
-
-    for k in range(s.T + 1):
-        pmf[k] = schur_bruteforce_expectation(s, obs_factory(k), part_cutoff)
+    for combos, w in _schur_weight_chunks(s, part_cutoff, 1e-10):
+        ell = len(combos[0])
+        pmf[ell] = _running_sum(pmf[ell], w)
     return pmf
 
 

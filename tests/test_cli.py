@@ -118,6 +118,32 @@ def test_schur_cli(tmp_path):
     assert abs(doc["2"] - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "mode,flag,value",
+    [("fredholm", "--cutoff", "30"), ("tracy-widom", "--cutoff", "30"),
+     ("length-pmf", "--r", "1.0"), ("fredholm", "--r", "1.0")],
+)
+def test_schur_flag_outside_its_mode_is_usage_error(mode, flag, value, tmp_path):
+    code = main(["schur", "--mode", mode, flag, value, "--out", str(tmp_path)])
+    assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_schur_length_pmf_cli(tmp_path):
+    out = tmp_path / "out"
+    common = ["--u", "-2.0", "--a1", "1.2", "--N", "2", "--T", "2", "--out", str(out)]
+    assert main(["schur", "--mode", "length-pmf", "--cutoff", "40"] + common) == 0
+    assert main(["schur", "--mode", "fredholm"] + common) == 0
+    pmf = json.loads((out / "schur_length-pmf.json").read_text())
+    cdf = json.loads((out / "schur_fredholm.json").read_text())
+    assert set(pmf) == set(cdf) == {"0", "1", "2"}
+    assert abs(sum(pmf.values()) - 1.0) < 1e-10
+    acc = 0.0
+    for k in ("0", "1", "2"):
+        acc += pmf[k]
+        assert abs(acc - cdf[k]) < 1e-6
+
+
 def test_asymptotics_cli(tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from vertexlab import schur
 from vertexlab.core import ModelParams
 from vertexlab.qtasep import sample_mixed_batch
 from vertexlab.schur import (
     SchurSetup,
+    _h_from_alpha,
+    _h_from_beta,
     asymptotic_equivalence_proxy,
     critical_point,
     fredholm_length_cdf,
@@ -15,6 +19,7 @@ from vertexlab.schur import (
     limit_shape,
     prob_length_exceeds,
     schur_bruteforce_expectation,
+    schur_jacobi_trudi,
     schur_kernel,
     schur_kernel_matrix,
     schur_length_pmf,
@@ -79,6 +84,42 @@ def test_limit_shape_values_and_continuity():
     assert critical_point(eta, tau, u).sigma < 1e-7
 
 
+def _conjugate(lam):
+    return tuple(sum(1 for r in lam if r > j) for j in range(lam[0]))
+
+
+def _hook_content(lam, n, x):
+    """s_lambda(x, ..., x) in n variables: x^|lambda| prod (n + c) / h."""
+    cols = _conjugate(lam)
+    val = 1.0
+    for i, row in enumerate(lam):
+        for j in range(row):
+            val *= x * (n + j - i) / (row - j + cols[j] - i - 1)
+    return val
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobi_trudi_hook_content(n):
+    x, b = 0.7, 1.3
+    h_x = _h_from_alpha([x] * n, 12)
+    # e_k(b^n) vanishes for k > n, so a table that stops at degree n is exact
+    # and every lambda with lambda_1 + ell - 1 > n reads past its end
+    e_b = _h_from_beta([b] * n, n)
+    empty = np.zeros((3, 0), dtype=np.int64)
+    assert np.array_equal(schur_jacobi_trudi(empty, h_x), np.ones(3))
+    # ell > n covers lambda with more rows than variables, where s_lambda = 0
+    for ell in range(1, 5):
+        lams = [lam[::-1] for lam in itertools.combinations_with_replacement(range(1, 6), ell)]
+        parts = np.array(lams, dtype=np.int64)
+        got_x = schur_jacobi_trudi(parts, h_x)
+        got_b = schur_jacobi_trudi(parts, e_b)
+        for lam, gx, gb in zip(lams, got_x, got_b):
+            want_x = _hook_content(lam, n, x)
+            want_b = _hook_content(_conjugate(lam), n, b)
+            assert abs(gx - want_x) <= 1e-13 * max(1.0, abs(want_x)), (lam, gx, want_x)
+            assert abs(gb - want_b) <= 1e-13 * max(1.0, abs(want_b)), (lam, gb, want_b)
+
+
 def test_bruteforce_normalization_and_empty_weight():
     s = _setup()
     one = schur_bruteforce_expectation(s, lambda lam: 1.0, part_cutoff=42)
@@ -131,7 +172,7 @@ def test_prob_length_exceeds_limits():
 
 
 def test_fredholm_vs_bruteforce():
-    for (N, T, u) in [(2, 2, -2.0), (3, 3, -1.0)]:
+    for (N, T, u) in [(2, 2, -2.0), (3, 3, -1.0), (4, 4, -2.0)]:
         s = _setup(N, T, u, a1=1.1)
         pmf = schur_length_pmf(s, part_cutoff=40)
         cdf = fredholm_length_cdf(s, range(T + 1), cutoff=25)
@@ -140,6 +181,26 @@ def test_fredholm_vs_bruteforce():
             acc += pmf[k]
             assert abs(cdf[k] - acc) < 1e-6
         assert all(0.0 - 1e-10 <= v <= 1.0 + 1e-10 for v in cdf.values())
+
+
+def test_length_pmf_independent_of_chunk_size(monkeypatch):
+    s = _setup(2, 3, -1.5, a1=1.1)
+    want = schur_length_pmf(s, part_cutoff=40)
+    obs = lambda lam: float(lam[0] - lam[-1])  # noqa: E731
+    want_e = schur_bruteforce_expectation(s, obs, part_cutoff=40)
+    monkeypatch.setattr(schur, "BRUTEFORCE_CHUNK", 7)
+    assert schur_length_pmf(s, part_cutoff=40) == want
+    assert schur_bruteforce_expectation(s, obs, part_cutoff=40) == want_e
+
+
+def test_length_pmf_is_indicator_expectation():
+    s = _setup(3, 3, -1.0)
+    pmf = schur_length_pmf(s, part_cutoff=40)
+    for k in range(s.T + 1):
+        ind = schur_bruteforce_expectation(
+            s, lambda lam: float(sum(1 for v in lam if v > 0) == k), part_cutoff=40
+        )
+        assert abs(pmf[k] - ind) <= 1e-15
 
 
 def test_tracy_widom_shape():
