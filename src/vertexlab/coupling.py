@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .core import INFINITY, ModelParams, params_digest
-from .qtasep import TimeLikePath, q_geom_law
+from .qtasep import TimeLikePath, bernoulli_law, geometric_law, q_geom_law
 from .vertex import vertex_weight_row
 
 
@@ -69,28 +69,6 @@ def sample_y_dagger(inp: CouplingInputs, q: float, rng) -> int:
     return law[-1][0]
 
 
-def _bernoulli_patterns(x, a, beta: float, q: float, upto: int):
-    """All jump patterns of the first `upto` particles under one Bernoulli
-    move from configuration x, with exact probabilities."""
-    results = []
-
-    def rec(i, jumps, prob, prev_jumped):
-        if i == upto:
-            results.append((tuple(jumps), prob))
-            return
-        p_jump = a[i] * beta / (1.0 + a[i] * beta)
-        if i > 0 and not prev_jumped:
-            gap = x[i - 1] - x[i] - 1
-            p_jump *= 1.0 - q**gap
-        if p_jump > 0.0:
-            rec(i + 1, jumps + (1,), prob * p_jump, True)
-        if p_jump < 1.0:
-            rec(i + 1, jumps + (0,), prob * (1.0 - p_jump), False)
-
-    rec(0, (), 1.0, True)
-    return results
-
-
 @dataclass
 class CouplingReport:
     check: str
@@ -116,6 +94,42 @@ def _tv(p1: dict, p2: dict) -> float:
     return 0.5 * sum(abs(p1.get(k, 0.0) - p2.get(k, 0.0)) for k in keys)
 
 
+def _dagger_law(
+    x, m: int, a, alpha: float, beta: float, q: float, tail: float, keep: tuple
+):
+    """Exact joint law of (y_{m-1}, x'_m, y-dagger_m), marginalized onto the
+    coordinates listed in `keep`: a Bernoulli move of particles 1..m-1, an
+    independent geometric jump of particle m, then the local vertex-weight
+    step.  Returns (law, truncation deficit); y_{m-1} is +infinity when
+    m = 1."""
+    x = tuple(x)
+    if not 1 <= m <= len(x):
+        raise ValueError("m out of range")
+    law: dict = {}
+    deficit = 0.0
+    x_prev = INFINITY if m == 1 else x[m - 2]
+    gap_m = INFINITY if m == 1 else x[m - 2] - x[m - 1] - 1
+    geom_pairs, d = q_geom_law(gap_m, a[m - 1] * alpha, q, tail)
+    for y, pb in _jumps_first(bernoulli_law(x[: m - 1], a, beta, q)):
+        y_prev = INFINITY if m == 1 else y[m - 2]
+        deficit += pb * d
+        for j, pg in geom_pairs:
+            xp = x[m - 1] + j
+            inp = CouplingInputs(x_prev, y_prev, xp, a[m - 1], alpha, beta)
+            for yd, pd in y_dagger_law(inp, q).items():
+                coords = (y_prev, xp, yd)
+                key = tuple(coords[i] for i in keep)
+                law[key] = law.get(key, 0.0) + pb * pg * pd
+    return law, deficit
+
+
+def _jumps_first(law: list) -> list:
+    """A Bernoulli law in jump-before-stay order of its patterns.  The last
+    bits of the TVs and deficits, and so of the check payloads, depend on
+    the order in which the sums over patterns run."""
+    return law[::-1]
+
+
 def joint_law_check_prop_A(
     x,
     m: int,
@@ -127,32 +141,17 @@ def joint_law_check_prop_A(
     tol: float = 1e-8,
 ) -> CouplingReport:
     """Exact joint pmf of (y_{m-1}, y-dagger_m) vs (y_{m-1}, y^{BG}_m)."""
-    x = tuple(x)
-    if not 1 <= m <= len(x):
-        raise ValueError("m out of range")
-    deficit = 0.0
-    dagger: dict = {}
-    gap_m = INFINITY if m == 1 else x[m - 2] - x[m - 1] - 1
-    geom_pairs, d = q_geom_law(gap_m, a[m - 1] * alpha, q, tail)
-    for pattern, pb in _bernoulli_patterns(x, a, beta, q, m - 1):
-        y_prev = INFINITY if m == 1 else x[m - 2] + pattern[m - 2]
-        x_prev = INFINITY if m == 1 else x[m - 2]
-        deficit += pb * d
-        for j, pg in geom_pairs:
-            xp = x[m - 1] + j
-            inp = CouplingInputs(x_prev, y_prev, xp, a[m - 1], alpha, beta)
-            for yd, pd in y_dagger_law(inp, q).items():
-                key = (y_prev, yd)
-                dagger[key] = dagger.get(key, 0.0) + pb * pg * pd
+    dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, tail, keep=(0, 2))
+    # BG route: a Bernoulli move of particles 1..m, then the geometric jump
+    # of particle m against the moved particle m-1.
     composed: dict = {}
-    for pattern, pb in _bernoulli_patterns(x, a, beta, q, m):
-        y_prev = INFINITY if m == 1 else x[m - 2] + pattern[m - 2]
-        y_m = x[m - 1] + pattern[m - 1]
-        gap = INFINITY if m == 1 else y_prev - y_m - 1
+    for y, pb in _jumps_first(bernoulli_law(x[:m], a, beta, q)):
+        y_prev = INFINITY if m == 1 else y[m - 2]
+        gap = INFINITY if m == 1 else y_prev - y[m - 1] - 1
         pairs, d2 = q_geom_law(gap, a[m - 1] * alpha, q, tail)
         deficit += pb * d2
         for j, pg in pairs:
-            key = (y_prev, y_m + j)
+            key = (y_prev, y[m - 1] + j)
             composed[key] = composed.get(key, 0.0) + pb * pg
     tv = _tv(dagger, composed)
     return CouplingReport(
@@ -171,23 +170,7 @@ def joint_law_check_prop_B(
     tol: float = 1e-8,
 ) -> CouplingReport:
     """Exact joint pmf of (x'_m, y-dagger_m) vs (x'_m, y^{GB}_m)."""
-    x = tuple(x)
-    if not 1 <= m <= len(x):
-        raise ValueError("m out of range")
-    deficit = 0.0
-    dagger: dict = {}
-    gap_m = INFINITY if m == 1 else x[m - 2] - x[m - 1] - 1
-    geom_pairs, d = q_geom_law(gap_m, a[m - 1] * alpha, q, tail)
-    for pattern, pb in _bernoulli_patterns(x, a, beta, q, m - 1):
-        y_prev = INFINITY if m == 1 else x[m - 2] + pattern[m - 2]
-        x_prev = INFINITY if m == 1 else x[m - 2]
-        deficit += pb * d
-        for j, pg in geom_pairs:
-            xp = x[m - 1] + j
-            inp = CouplingInputs(x_prev, y_prev, xp, a[m - 1], alpha, beta)
-            for yd, pd in y_dagger_law(inp, q).items():
-                key = (xp, yd)
-                dagger[key] = dagger.get(key, 0.0) + pb * pg * pd
+    dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, tail, keep=(1, 2))
     # GB route: independent geometric jumps of particles 1..m, then a
     # Bernoulli move on the jumped configuration down to particle m.
     composed: dict = {}
@@ -195,8 +178,8 @@ def joint_law_check_prop_B(
     def geom_prefix(i, xs, prob):
         nonlocal deficit
         if i == m:
-            for pattern, pb in _bernoulli_patterns(xs, a, beta, q, m):
-                key = (xs[m - 1], xs[m - 1] + pattern[m - 1])
+            for y, pb in _jumps_first(bernoulli_law(xs, a, beta, q)):
+                key = (xs[m - 1], y[m - 1])
                 composed[key] = composed.get(key, 0.0) + prob * pb
             return
         gap = INFINITY if i == 0 else x[i - 1] - x[i] - 1
@@ -277,8 +260,6 @@ def _tasep_joint_law(
 ):
     """Exact joint law of x_{N_t+r-1}(N_t,T_t) + N_t + r - 1 along the path
     by DP over truncated particle configurations; returns (law, deficit)."""
-    from .qtasep import bernoulli_law, geometric_law
-
     L = max(n for n, _ in path.points) + r - 1
     c = p.c
     deficit = 0.0

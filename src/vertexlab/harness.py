@@ -1,5 +1,11 @@
-"""Experiment orchestration: statistical comparison and the suite of
-verification checks with one check id per acceptance criterion.
+"""Experiment orchestration: the registry of verification checks, one check
+id per acceptance criterion, and the suite runner.
+
+The ``@check`` decorator registers each ``check_<id>`` function in CHECKS
+and owns its tolerance, default budget, timing and CheckResult.  The Monte
+Carlo checks share the z-score and chi-square helpers below; total variation
+is ``coupling._tv`` and the continuous Kolmogorov distance is
+``schur.ks_distance_to_tw``.
 
 Every check is deterministic given its seed: random streams come from the
 counter-based generator in rng, so reports are byte-identical across runs
@@ -9,6 +15,7 @@ from one stream, so their output also depends on the replica count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -19,66 +26,8 @@ import numpy as np
 from scipy import stats
 
 from . import coupling, diffops, moments, qtasep, schur, vertex
-from .core import ModelParams, Specialization
+from .core import INFINITY, ModelParams, Specialization, q_pochhammer
 from .rng import stream
-
-
-@dataclass
-class ComparisonReport:
-    mode: str  # EXACT_TV | CHI2 | KS
-    statistic: float
-    p_value: float | None
-    passed: bool
-    details: dict = field(default_factory=dict)
-
-
-def distribution_compare(pmf_a, pmf_b, mode: str, **kw) -> ComparisonReport:
-    """EXACT_TV for oracle-vs-oracle pmf dicts; CHI2 for empirical counts
-    against an oracle pmf; KS for samples against a continuous cdf."""
-    if mode == "EXACT_TV":
-        keys = set(pmf_a) | set(pmf_b)
-        if not keys:
-            raise ValueError("empty support")
-        tv = 0.5 * sum(abs(pmf_a.get(k, 0.0) - pmf_b.get(k, 0.0)) for k in keys)
-        tol = kw.get("tol", 1e-10)
-        return ComparisonReport("EXACT_TV", tv, None, tv <= tol)
-    if mode == "CHI2":
-        counts, oracle = pmf_a, pmf_b
-        n = sum(counts.values())
-        min_expected = kw.get("min_expected", 5.0)
-        keys = sorted(oracle, key=lambda k: -oracle[k])
-        pooled_obs, pooled_exp = [], []
-        tail_obs = n
-        tail_exp = float(n)
-        for k in keys:
-            e = n * oracle[k]
-            if e >= min_expected and tail_exp - e > min_expected:
-                pooled_obs.append(counts.get(k, 0))
-                pooled_exp.append(e)
-                tail_obs -= counts.get(k, 0)
-                tail_exp -= e
-            else:
-                break
-        pooled_obs.append(tail_obs)
-        pooled_exp.append(tail_exp)
-        chi2 = sum((o - e) ** 2 / e for o, e in zip(pooled_obs, pooled_exp))
-        dof = max(len(pooled_obs) - 1, 1)
-        p = float(stats.chi2.sf(chi2, dof))
-        alpha = kw.get("alpha", 1e-4)
-        return ComparisonReport(
-            "CHI2", chi2, p, p > alpha, {"dof": dof, "cells": len(pooled_obs)}
-        )
-    if mode == "KS":
-        samples, cdf = pmf_a, pmf_b
-        vals = np.sort(np.asarray(samples, dtype=float))
-        n = len(vals)
-        F = np.array([cdf(v) for v in vals])
-        ks = float(
-            max(np.abs(np.arange(1, n + 1) / n - F).max(), np.abs(np.arange(n) / n - F).max())
-        )
-        tol = kw.get("tol", 0.05)
-        return ComparisonReport("KS", ks, None, ks <= tol)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +65,96 @@ class CheckResult:
         }
 
 
+# ---------------------------------------------------------------------------
+# Monte Carlo statistics.  A sample too small or too uniform to estimate its
+# spread is no evidence for the identity, so it fails the check and names
+# itself in details["no_evidence"].
+
+
+def _z_score(mean: float, se: float, exact: float, details: dict, key: str) -> float:
+    """|mean - exact| / se, recorded in details[key] to three decimals.  A
+    zero or NaN standard error counts as an infinite deviation unless
+    mean == exact."""
+    if se > 0:
+        dev = abs(mean - exact) / se
+    else:
+        dev = 0.0 if mean == exact else math.inf
+        details.setdefault("no_evidence", []).append(f"{key}: standard error {se}")
+    details[key] = round(dev, 3)
+    return dev
+
+
+def _min_p(worst: float, p: float, details: dict, key: str) -> float:
+    """Running minimum of chi-square p-values.  A NaN p-value (fewer than two
+    cells, so no degree of freedom) counts as 0."""
+    if math.isnan(p):
+        details.setdefault("no_evidence", []).append(f"{key}: fewer than two cells")
+        return 0.0
+    return min(worst, p)
+
+
+def chi2_gof(counts: dict, oracle: dict, min_expected: float = 5.0):
+    """Chi-square goodness of fit of empirical counts against an oracle pmf;
+    returns (chi2, p).  Atoms are taken in decreasing oracle probability
+    while their expected count is at least min_expected and the rest keeps
+    more than min_expected; everything else is pooled into one tail cell.
+    With a single cell left there is no degree of freedom and p is NaN."""
+    n = sum(counts.values())
+    keys = sorted(oracle, key=lambda k: -oracle[k])
+    pooled_obs, pooled_exp = [], []
+    tail_obs = n
+    tail_exp = float(n)
+    for k in keys:
+        e = n * oracle[k]
+        if e >= min_expected and tail_exp - e > min_expected:
+            pooled_obs.append(counts.get(k, 0))
+            pooled_exp.append(e)
+            tail_obs -= counts.get(k, 0)
+            tail_exp -= e
+        else:
+            break
+    pooled_obs.append(tail_obs)
+    pooled_exp.append(tail_exp)
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(pooled_obs, pooled_exp))
+    return chi2, float(stats.chi2.sf(chi2, len(pooled_obs) - 1))
+
+
+# ---------------------------------------------------------------------------
+# The check registry
+
+CHECKS: dict = {}
+
+
+def check(check_id: str, tolerance: float, budget: int):
+    """Register the decorated body as check `check_id` in CHECKS.
+
+    The body takes (seed, budget) and returns (passed, statistic[, details]).
+    The registered function is called as (seed=0, budget=<default>); it times
+    the body and returns a CheckResult.  Its `default_budget` attribute is
+    the budget run_suite scales."""
+
+    def register(body):
+        @functools.wraps(body)
+        def run(seed: int = 0, budget: int = budget) -> CheckResult:
+            t0 = time.time()
+            passed, statistic, *details = body(seed, budget)
+            return CheckResult(
+                check_id, passed, statistic, tolerance, time.time() - t0, *details
+            )
+
+        run.default_budget = budget
+        CHECKS[check_id] = run
+        return run
+
+    return register
+
+
 # --- the sixteen checks ----------------------------------------------------
 
 
-def check_stochasticity(seed: int = 0, budget: int = 1000) -> CheckResult:
+@check("stochasticity", 1e-12, budget=1000)
+def check_stochasticity(seed, budget):
     """Vertex outcome weights sum to one for random admissible parameters."""
-    t0 = time.time()
     rng = stream(seed, 1)
     worst = 0.0
     for _ in range(budget):
@@ -133,14 +166,12 @@ def check_stochasticity(seed: int = 0, budget: int = 1000) -> CheckResult:
         for j1 in (0, 1):
             outs = vertex.vertex_weight_row(u, a, nu, g, j1, q)
             worst = max(worst, abs(sum(o.weight for o in outs) - 1.0))
-    return CheckResult(
-        "stochasticity", worst <= 1e-12, worst, 1e-12, time.time() - t0
-    )
+    return worst <= 1e-12, worst
 
 
-def check_sum_to_one(seed: int = 0, budget: int = 10) -> CheckResult:
+@check("sum-to-one", 1e-10, budget=10)
+def check_sum_to_one(seed, budget):
     """Finite sum of symmetrization weights with a zero column equals one."""
-    t0 = time.time()
     rng = stream(seed, 2)
     worst = 0.0
     for _ in range(budget):
@@ -149,12 +180,12 @@ def check_sum_to_one(seed: int = 0, budget: int = 10) -> CheckResult:
             for N in range(1, 5):
                 s = vertex.sum_f_stoch_truncated(p, T, N)
                 worst = max(worst, abs(s - 1.0))
-    return CheckResult("sum-to-one", worst <= 1e-10, worst, 1e-10, time.time() - t0)
+    return worst <= 1e-10, worst
 
 
-def check_sampler_pmf(seed: int = 0, budget: int = 10**6) -> CheckResult:
+@check("sampler-pmf", 1e-4, budget=10**6)
+def check_sampler_pmf(seed, budget):
     """Empirical row-partition pmf against the symmetrization formula."""
-    t0 = time.time()
     rng = stream(seed, 3)
     p = draw_params(rng, 40, 3)
     n_win = 40
@@ -192,22 +223,15 @@ def check_sampler_pmf(seed: int = 0, budget: int = 10**6) -> CheckResult:
                 code = code * base + mult.get(col + 1, 0)
             counts[parts] = lookup.get(code, 0)
         counts["__tail__"] = budget - sum(counts.values())
-        rep = distribution_compare(counts, enumerated, "CHI2", alpha=1e-4)
-        details[f"T={T}"] = {"chi2": rep.statistic, "p": rep.p_value}
-        worst_p = min(worst_p, rep.p_value)
-    return CheckResult(
-        "sampler-pmf",
-        worst_p > 1e-4,
-        worst_p,
-        1e-4,
-        time.time() - t0,
-        details,
-    )
+        chi2, pval = chi2_gof(counts, enumerated)
+        details[f"T={T}"] = {"chi2": chi2, "p": pval}
+        worst_p = _min_p(worst_p, pval, details, f"T={T}")
+    return worst_p > 1e-4, worst_p, details
 
 
-def check_operator_lemma(seed: int = 0, budget: int = 20) -> CheckResult:
+@check("operator-lemma", 1e-9, budget=20)
+def check_operator_lemma(seed, budget):
     """Action of the conjugated operator on the truncated weight sums."""
-    t0 = time.time()
     rng = stream(seed, 4)
     worst = 0.0
     for draw in range(budget):
@@ -242,15 +266,13 @@ def check_operator_lemma(seed: int = 0, budget: int = 20) -> CheckResult:
                 w *= p.q**h - p.q ** (T + 2 - j) * math.prod(p.nu[:Nj])
             rhs2 += w
         worst = max(worst, abs(lhs2 - rhs2) / max(abs(rhs2), 1e-30))
-    return CheckResult(
-        "operator-lemma", worst <= 1e-9, worst, 1e-9, time.time() - t0
-    )
+    return worst <= 1e-9, worst
 
 
-def check_route_triangle(seed: int = 0, budget: int = 1) -> CheckResult:
+@check("route-triangle", 1e-9, budget=1)
+def check_route_triangle(seed, budget):
     """Operator, quadrature, and residue evaluations of the moment formulas
     agree pairwise."""
-    t0 = time.time()
     rng = stream(seed, 5)
     worst = 0.0
     for _ in range(budget):
@@ -275,14 +297,12 @@ def check_route_triangle(seed: int = 0, budget: int = 1) -> CheckResult:
                     )
                 )
                 worst = max(worst, abs(hres - hrec))
-    return CheckResult(
-        "route-triangle", worst <= 1e-9, worst, 1e-9, time.time() - t0
-    )
+    return worst <= 1e-9, worst
 
 
-def check_moment_closure(seed: int = 0, budget: int = 10**6) -> CheckResult:
+@check("moment-closure", 4.0, budget=10**6)
+def check_moment_closure(seed, budget):
     """Residue-route joint q-moments against big Monte Carlo."""
-    t0 = time.time()
     rng = stream(seed, 6)
     p = draw_params(rng, 10, 4)
     heights = vertex.sample_quadrant_batch(p, vertex.STEP, (10, 4), budget, seed)
@@ -298,16 +318,13 @@ def check_moment_closure(seed: int = 0, budget: int = 10**6) -> CheckResult:
             mean = float(obs.mean())
             se = float(obs.std(ddof=1) / math.sqrt(budget))
             exact = moments.moment_height_residues(N_list, T, p)
-            dev = abs(mean - exact) / se if se > 0 else 0.0
+            dev = _z_score(mean, se, exact, details, f"T={T},N={N_list}")
             worst_dev = max(worst_dev, dev)
-            details[f"T={T},N={N_list}"] = round(dev, 3)
-    return CheckResult(
-        "moment-closure", worst_dev <= 4.0, worst_dev, 4.0, time.time() - t0, details
-    )
+    return worst_dev <= 4.0, worst_dev, details
 
 
-def check_formal_identity(seed: int = 0, budget: int = 100) -> CheckResult:
-    t0 = time.time()
+@check("formal-identity", 1e-12, budget=100)
+def check_formal_identity(seed, budget):
     rng = stream(seed, 7)
     worst = 0.0
     for _ in range(budget):
@@ -316,14 +333,12 @@ def check_formal_identity(seed: int = 0, budget: int = 100) -> CheckResult:
         b = rng.uniform(-2, 2, ell)
         q = rng.uniform(0.05, 0.95)
         worst = max(worst, moments.formal_identity_check(ell, X, b, q))
-    return CheckResult(
-        "formal-identity", worst <= 1e-12, worst, 1e-12, time.time() - t0
-    )
+    return worst <= 1e-12, worst
 
 
-def check_qwhittaker_n1(seed: int = 0, budget: int = 1) -> CheckResult:
+@check("qwhittaker-n1", 1e-8, budget=1)
+def check_qwhittaker_n1(seed, budget):
     """Nested-integral q-Whittaker moments against the series oracle, N=1."""
-    t0 = time.time()
     rng = stream(seed, 8)
     worst = 0.0
     specs = [
@@ -341,14 +356,12 @@ def check_qwhittaker_n1(seed: int = 0, budget: int = 1) -> CheckResult:
             quad = moments.moment_qwhittaker(k, 1, rho, (a1,), q, method="quadrature")
             res = moments.moment_qwhittaker(k, 1, rho, (a1,), q, method="residues")
             worst = max(worst, abs(oracle - quad), abs(oracle - res))
-    return CheckResult(
-        "qwhittaker-n1", worst <= 1e-8, worst, 1e-8, time.time() - t0
-    )
+    return worst <= 1e-8, worst
 
 
-def check_commutation(seed: int = 0, budget: int = 1) -> CheckResult:
+@check("commutation", 1e-10, budget=1)
+def check_commutation(seed, budget):
     """Truncated transition matrices commute entrywise."""
-    t0 = time.time()
     rng = stream(seed, 9)
     worst = 0.0
     for L in (1, 2, 3):
@@ -365,14 +378,12 @@ def check_commutation(seed: int = 0, budget: int = 1) -> CheckResult:
         worst = max(worst, float(np.abs(bg - gb).max()))
         gg = G1.matrix @ G2.matrix - G2.matrix @ G1.matrix
         worst = max(worst, float(np.abs(gg).max()))
-    return CheckResult(
-        "commutation", worst <= 1e-10, worst, 1e-10, time.time() - t0
-    )
+    return worst <= 1e-10, worst
 
 
-def check_local_coupling(seed: int = 0, budget: int = 50) -> CheckResult:
+@check("local-coupling", 1e-8, budget=50)
+def check_local_coupling(seed, budget):
     """Enumeration TV for the two local coupling propositions."""
-    t0 = time.time()
     rng = stream(seed, 10)
     worst = 0.0
     for _ in range(budget):
@@ -391,9 +402,7 @@ def check_local_coupling(seed: int = 0, budget: int = 50) -> CheckResult:
         rb = coupling.joint_law_check_prop_B(tuple(x), m, a, alpha, beta, q)
         worst = max(worst, ra.tv_distance + ra.truncation_deficit,
                     rb.tv_distance + rb.truncation_deficit)
-    return CheckResult(
-        "local-coupling", worst <= 1e-8, worst, 1e-8, time.time() - t0
-    )
+    return worst <= 1e-8, worst
 
 
 def _all_paths(n_steps: int):
@@ -401,10 +410,10 @@ def _all_paths(n_steps: int):
         yield qtasep.TimeLikePath.from_moves("".join(moves))
 
 
-def check_coupling_theorem(seed: int = 0, budget: int = 10) -> CheckResult:
+@check("coupling-theorem", 1e-8, budget=10)
+def check_coupling_theorem(seed, budget):
     """Double-DP TV for the time-like-path theorem, all short paths plus
     random longer ones and one generalized step-Bernoulli instance."""
-    t0 = time.time()
     rng = stream(seed, 11)
     p = draw_params(rng, 7, 5, bernoulli=True)
     worst = 0.0
@@ -426,14 +435,12 @@ def check_coupling_theorem(seed: int = 0, budget: int = 10) -> CheckResult:
     )
     worst = max(worst, rep.tv_distance + rep.truncation_deficit)
     details["gen-r2"] = rep.tv_distance
-    return CheckResult(
-        "coupling-theorem", worst <= 1e-8, worst, 1e-8, time.time() - t0, details
-    )
+    return worst <= 1e-8, worst, details
 
 
-def check_distribution_equality(seed: int = 0, budget: int = 10**6) -> CheckResult:
+@check("distribution-equality", 1e-4, budget=10**6)
+def check_distribution_equality(seed, budget):
     """Two-sample chi-square between h^Ber(N+1,T) and x_N(N,T)+N."""
-    t0 = time.time()
     rng = stream(seed, 12)
     p = draw_params(rng, 6, 4, bernoulli=True)
     worst_p = 1.0
@@ -459,23 +466,16 @@ def check_distribution_equality(seed: int = 0, budget: int = 10**6) -> CheckResu
                 (o1 - n1 * pooled) ** 2 / (n1 * pooled)
                 + (o2 - n2 * pooled) ** 2 / (n2 * pooled)
             )
-        dof = max(int((pooled > 0).sum()) - 1, 1)
-        pval = float(stats.chi2.sf(chi2, dof))
+        pval = float(stats.chi2.sf(chi2, int((pooled > 0).sum()) - 1))
         details[f"N={N},T={T}"] = round(pval, 6)
-        worst_p = min(worst_p, pval)
-    return CheckResult(
-        "distribution-equality", worst_p > 1e-4, worst_p, 1e-4,
-        time.time() - t0, details,
-    )
+        worst_p = _min_p(worst_p, pval, details, f"N={N},T={T}")
+    return worst_p > 1e-4, worst_p, details
 
 
-def check_schur_matching(seed: int = 0, budget: int = 10**6) -> CheckResult:
+@check("schur-matching", 4.0, budget=10**6)
+def check_schur_matching(seed, budget):
     """Vertex Monte Carlo of the infinite-product observable vs brute-force
     Schur expectation, special parameters nu_i = q."""
-    t0 = time.time()
-    rng = stream(seed, 13)
-    from .core import INFINITY, q_pochhammer
-
     worst_dev = 0.0
     details = {}
     for N, T in itertools.product((1, 2, 3), (1, 2, 3)):
@@ -510,17 +510,14 @@ def check_schur_matching(seed: int = 0, budget: int = 10**6) -> CheckResult:
                 return out
 
             exact = schur.schur_bruteforce_expectation(s, rhs_obs, part_cutoff=38)
-            dev = abs(mean - exact) / se
-            details[f"N={N},T={T},zeta={zeta}"] = round(dev, 3)
+            dev = _z_score(mean, se, exact, details, f"N={N},T={T},zeta={zeta}")
             worst_dev = max(worst_dev, dev)
-    return CheckResult(
-        "schur-matching", worst_dev <= 4.0, worst_dev, 4.0, time.time() - t0, details
-    )
+    return worst_dev <= 4.0, worst_dev, details
 
 
-def check_fredholm_bruteforce(seed: int = 0, budget: int = 1) -> CheckResult:
+@check("fredholm-bruteforce", 1e-6, budget=1)
+def check_fredholm_bruteforce(seed, budget):
     """Fredholm determinant length law against partition enumeration."""
-    t0 = time.time()
     worst = 0.0
     cases = [(N, T, -2.0) for N in (1, 2, 3) for T in (1, 2, 3)]
     cases += [(3, 3, -1.0), (2, 3, -1.5)]
@@ -532,25 +529,20 @@ def check_fredholm_bruteforce(seed: int = 0, budget: int = 1) -> CheckResult:
         for k in range(T + 1):
             acc += pmf[k]
             worst = max(worst, abs(cdf[k] - acc))
-    return CheckResult(
-        "fredholm-bruteforce", worst <= 1e-6, worst, 1e-6, time.time() - t0
-    )
+    return worst <= 1e-6, worst
 
 
-def check_lln(seed: int = 0, budget: int = 200) -> CheckResult:
+@check("lln", 0.05, budget=200)
+def check_lln(seed, budget):
     """Law of large numbers at u=-1, eta=1, tau=2, M=400."""
-    t0 = time.time()
     rep = schur.asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, [400], budget, seed)
     err = rep.mean_err
-    return CheckResult(
-        "lln", err <= 0.05, err, 0.05, time.time() - t0,
-        {"X_theory": rep.x_theory},
-    )
+    return err <= 0.05, err, {"X_theory": rep.x_theory}
 
 
-def check_tracy_widom(seed: int = 0, budget: int = 500) -> CheckResult:
+@check("tracy-widom", 0.15, budget=500)
+def check_tracy_widom(seed, budget):
     """Tracy-Widom surrogate at M=2000 plus distribution-function sanity."""
-    t0 = time.time()
     grid = np.linspace(-8, 5, 100)
     F = [schur.tracy_widom_cdf(r) for r in grid]
     mono = all(F[i] <= F[i + 1] + 1e-12 for i in range(len(F) - 1))
@@ -559,31 +551,9 @@ def check_tracy_widom(seed: int = 0, budget: int = 500) -> CheckResult:
     rep = schur.asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, [2000], budget, seed)
     ks = rep.ks_stat
     passed = mono and tails and stab <= 1e-8 and ks <= 0.15
-    return CheckResult(
-        "tracy-widom", passed, ks, 0.15, time.time() - t0,
-        {"monotone": mono, "tails": tails, "quad_stability": stab,
-         "mean_err": rep.mean_err},
-    )
+    return passed, ks, {"monotone": mono, "tails": tails, "quad_stability": stab,
+                        "mean_err": rep.mean_err}
 
-
-CHECKS = {
-    "stochasticity": check_stochasticity,
-    "sum-to-one": check_sum_to_one,
-    "sampler-pmf": check_sampler_pmf,
-    "operator-lemma": check_operator_lemma,
-    "route-triangle": check_route_triangle,
-    "moment-closure": check_moment_closure,
-    "formal-identity": check_formal_identity,
-    "qwhittaker-n1": check_qwhittaker_n1,
-    "commutation": check_commutation,
-    "local-coupling": check_local_coupling,
-    "coupling-theorem": check_coupling_theorem,
-    "distribution-equality": check_distribution_equality,
-    "schur-matching": check_schur_matching,
-    "fredholm-bruteforce": check_fredholm_bruteforce,
-    "lln": check_lln,
-    "tracy-widom": check_tracy_widom,
-}
 
 DEFAULT_SUITE = [c for c in CHECKS if c != "tracy-widom"]
 FULL_SUITE = list(CHECKS)
@@ -614,10 +584,7 @@ def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
         fn = CHECKS[cid]
         kwargs = {"seed": seed}
         if budget_scale != 1.0:
-            import inspect
-
-            default_budget = inspect.signature(fn).parameters["budget"].default
-            kwargs["budget"] = max(int(default_budget * budget_scale), 1)
+            kwargs["budget"] = max(int(fn.default_budget * budget_scale), 1)
         results.append(fn(**kwargs))
     if out_dir is not None:
         out = pathlib.Path(out_dir)

@@ -300,10 +300,6 @@ class CriticalData:
     regime: str  # CURVED | FLAT
 
 
-def g_action(v: float, x: float, eta: float, tau: float, u: float) -> float:
-    return eta * math.log(1.0 + v) + tau * math.log(u + 1.0 / v) - x * math.log(-v)
-
-
 def g_derivatives(v: float, x: float, eta: float, tau: float, u: float):
     """(G', G'', G''') at real v in (-1, 0)."""
     g1 = eta / (1.0 + v) - tau / (v * (u * v + 1.0)) - x / v
@@ -486,6 +482,10 @@ def asymptotic_equivalence_proxy(
         return 1.0 - cdfs[k]
 
     xs = _special_positions(q, u, a1, N, T, replicas, seed) + N
+    # A lattice Kolmogorov distance: the sup over the integers needs the
+    # Fredholm cdf F(v-1) just below each atom v as well as F(v), where
+    # ks_distance_to_tw's continuous formula takes one F value per sample.
+    # One routine for both would branch on its caller, so this stays here.
     vals, counts = np.unique(xs, return_counts=True)
     emp = np.cumsum(counts) / len(xs)
     ks = 0.0

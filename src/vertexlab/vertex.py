@@ -236,7 +236,11 @@ def _check_u_distinct(u):
                 raise ValueError(f"u collision: u[{i}] ~ u[{j}] = {u[i]}")
 
 
-def _f_stoch_arrays(parts, u, a, nu, q: float) -> float:
+def _symmetrize(parts, u, nu, q: float, slot) -> float:
+    """The T!-term symmetrization shared by f_stoch and f_tilde: the sum over
+    permutations sigma of prod_{al<be} (u_sa - q u_sb) / (u_sa - u_sb) times
+    prod_i slot(parts[i], u_{sigma(i)}), with the multiplicity prefactor
+    prod_r (nu_r; q)_k / (q; q)_k."""
     t = len(parts)
     if t == 0:
         return 1.0
@@ -248,18 +252,7 @@ def _f_stoch_arrays(parts, u, a, nu, q: float) -> float:
     for r, k in mult.items():
         pref *= q_pochhammer(nu[r - 1], q, k) / q_pochhammer(q, q, k)
     # slot_factor[i][s]: the i-th slot's product with spectral parameter u_s
-    slot_factor = [
-        [
-            (1.0 - q)
-            / (1.0 - a[parts[i] - 1] * u[s])
-            * math.prod(
-                (nu[j] - a[j] * u[s]) / (1.0 - a[j] * u[s])
-                for j in range(parts[i] - 1)
-            )
-            for s in range(t)
-        ]
-        for i in range(t)
-    ]
+    slot_factor = [[slot(parts[i], u[s]) for s in range(t)] for i in range(t)]
     total = 0.0
     for sigma in itertools.permutations(range(t)):
         term = 1.0
@@ -272,6 +265,17 @@ def _f_stoch_arrays(parts, u, a, nu, q: float) -> float:
             term *= slot_factor[i][sigma[i]]
         total += term
     return pref * total
+
+
+def _f_stoch_arrays(parts, u, a, nu, q: float) -> float:
+    def slot(r, us):
+        return (
+            (1.0 - q)
+            / (1.0 - a[r - 1] * us)
+            * math.prod((nu[j] - a[j] * us) / (1.0 - a[j] * us) for j in range(r - 1))
+        )
+
+    return _symmetrize(parts, u, nu, q, slot)
 
 
 def f_stoch(kappa, p: ModelParams, T: int) -> float:
@@ -289,37 +293,15 @@ def _f_tilde_arrays(parts, u, a, nu, q: float, M: int) -> float:
     """Denominator-cleared weight Phi_M * F^stoch, with the (1 - a_j u) factors
     cancelled inside the symmetrand so the result is finite even at
     a_j u_i = 1."""
-    t = len(parts)
-    if t == 0:
-        return 1.0
-    _check_u_distinct(u)
-    mult: dict = {}
-    for x in parts:
-        mult[x] = mult.get(x, 0) + 1
-    pref = 1.0
-    for r, k in mult.items():
-        pref *= q_pochhammer(nu[r - 1], q, k) / q_pochhammer(q, q, k)
-    slot_factor = [
-        [
+
+    def slot(r, us):
+        return (
             (1.0 - q)
-            * math.prod((nu[j] - a[j] * u[s]) for j in range(parts[i] - 1))
-            * math.prod((1.0 - a[j] * u[s]) for j in range(parts[i], M))
-            for s in range(t)
-        ]
-        for i in range(t)
-    ]
-    total = 0.0
-    for sigma in itertools.permutations(range(t)):
-        term = 1.0
-        for al in range(t):
-            for be in range(al + 1, t):
-                term *= (u[sigma[al]] - q * u[sigma[be]]) / (
-                    u[sigma[al]] - u[sigma[be]]
-                )
-        for i in range(t):
-            term *= slot_factor[i][sigma[i]]
-        total += term
-    return pref * total
+            * math.prod((nu[j] - a[j] * us) for j in range(r - 1))
+            * math.prod((1.0 - a[j] * us) for j in range(r, M))
+        )
+
+    return _symmetrize(parts, u, nu, q, slot)
 
 
 def f_tilde(kappa, p: ModelParams, T: int, M: int) -> float:

@@ -6,6 +6,7 @@ import pytest
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.coupling import (
     CouplingInputs,
+    _tv,
     joint_law_check_prop_A,
     joint_law_check_prop_B,
     sample_y_dagger,
@@ -14,6 +15,11 @@ from vertexlab.coupling import (
 )
 from vertexlab.qtasep import TimeLikePath
 from vertexlab.rng import stream
+
+
+def test_tv_equal_and_disjoint_laws():
+    assert _tv({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
+    assert _tv({0: 1.0}, {1: 1.0}) == 1.0
 
 
 def test_y_dagger_two_atom_example():

@@ -5,7 +5,7 @@ import pytest
 
 from vertexlab import harness
 from vertexlab.harness import (
-    distribution_compare,
+    chi2_gof,
     draw_params,
     run_suite,
 )
@@ -13,16 +13,7 @@ from vertexlab.core import validate_params
 from vertexlab.rng import stream
 
 
-def test_distribution_compare_tv():
-    rep = distribution_compare({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}, "EXACT_TV")
-    assert rep.statistic == 0.0 and rep.passed
-    rep = distribution_compare({0: 1.0}, {1: 1.0}, "EXACT_TV")
-    assert rep.statistic == 1.0 and not rep.passed
-    with pytest.raises(ValueError):
-        distribution_compare({}, {}, "EXACT_TV")
-
-
-def test_distribution_compare_chi2_calibration():
+def test_chi2_gof_calibration():
     # sampling from the oracle pmf itself should rarely reject
     oracle = {0: 0.55, 1: 0.3, 2: 0.1, 3: 0.05}
     atoms = np.array(sorted(oracle))
@@ -33,18 +24,11 @@ def test_distribution_compare_chi2_calibration():
         rng = stream(99, r)
         draws = rng.choice(atoms, size=20_000, p=probs)
         counts = {int(k): int(c) for k, c in zip(*np.unique(draws, return_counts=True))}
-        rep = distribution_compare(counts, oracle, "CHI2", alpha=1e-4)
-        ok += rep.passed
+        _, p = chi2_gof(counts, oracle)
+        ok += p > 1e-4
     assert ok >= int(0.96 * reps)
-
-
-def test_distribution_compare_ks():
-    rng = stream(1, 0)
-    samples = rng.normal(size=4000)
-    from scipy.stats import norm
-
-    rep = distribution_compare(samples, norm.cdf, "KS", tol=0.05)
-    assert rep.passed and rep.statistic < 0.05
+    # one sample pools into a single cell: no degree of freedom, no p-value
+    assert np.isnan(chi2_gof({0: 1}, oracle)[1])
 
 
 def test_draw_params_regimes():
@@ -82,6 +66,24 @@ def test_run_suite_json_spec(tmp_path):
     assert code == 0 and results[0].check_id == "formal-identity"
 
 
+def test_run_suite_scales_default_budgets(tmp_path):
+    ids = ["stochasticity", "formal-identity", "local-coupling"]
+    expected = [
+        harness.CHECKS[cid](
+            seed=3, budget=max(int(harness.CHECKS[cid].default_budget * 0.01), 1)
+        ).payload()
+        for cid in ids
+    ]
+    _, results = run_suite(ids, seed=3, budget_scale=0.01)
+    assert [r.payload() for r in results] == expected
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": ids, "seed": 3, "budget_scale": 0.01}))
+    _, results = run_suite(str(spec))
+    assert [r.payload() for r in results] == expected
+    # the scaled budgets differ from the defaults: 10, 1 and 1 draws
+    assert expected != [harness.CHECKS[cid](seed=3).payload() for cid in ids]
+
+
 def test_reports_reproducible():
     _, r1 = run_suite(["stochasticity", "sum-to-one"], seed=7)
     _, r2 = run_suite(["stochasticity", "sum-to-one"], seed=7)
@@ -89,6 +91,28 @@ def test_reports_reproducible():
 
 
 def test_every_criterion_has_a_check():
-    assert len(harness.CHECKS) == 16
+    assert list(harness.CHECKS) == [
+        "stochasticity", "sum-to-one", "sampler-pmf", "operator-lemma",
+        "route-triangle", "moment-closure", "formal-identity", "qwhittaker-n1",
+        "commutation", "local-coupling", "coupling-theorem",
+        "distribution-equality", "schur-matching", "fredholm-bruteforce", "lln",
+        "tracy-widom",
+    ]
+    for cid, fn in harness.CHECKS.items():
+        assert fn is getattr(harness, "check_" + cid.replace("-", "_"))
     assert set(harness.FULL_SUITE) == set(harness.CHECKS)
     assert set(harness.DEFAULT_SUITE) == set(harness.CHECKS) - {"tracy-widom"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "check_id,budget",
+    [("sampler-pmf", 1), ("moment-closure", 1), ("distribution-equality", 1),
+     ("schur-matching", 1), ("schur-matching", 2)],
+)
+def test_monte_carlo_checks_fail_without_evidence(check_id, budget):
+    # one or two replicas estimate no spread and fill no second chi-square
+    # cell: that is no evidence, so the check fails and names the cause
+    result = harness.CHECKS[check_id](seed=0, budget=budget)
+    assert not result.passed
+    assert result.details["no_evidence"]
