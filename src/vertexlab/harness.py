@@ -119,25 +119,46 @@ def chi2_gof(counts: dict, oracle: dict, min_expected: float = 5.0):
     return chi2, float(stats.chi2.sf(chi2, len(pooled_obs) - 1))
 
 
+def chi2_two_sample(c1, c2, min_count: int = 10):
+    """Chi-square test that two count arrays over the same cells share one
+    law; returns (chi2, p).  Cells with under min_count counts in both samples
+    together pool into one tail cell; an empty cell adds no degree of freedom."""
+    keep = (c1 + c2) >= min_count
+    o1 = np.append(c1[keep], c1[~keep].sum())
+    o2 = np.append(c2[keep], c2[~keep].sum())
+    n1, n2 = o1.sum(), o2.sum()
+    pooled = (o1 + o2) / (n1 + n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi2 = np.nansum(
+            (o1 - n1 * pooled) ** 2 / (n1 * pooled)
+            + (o2 - n2 * pooled) ** 2 / (n2 * pooled)
+        )
+    return chi2, float(stats.chi2.sf(chi2, int((pooled > 0).sum()) - 1))
+
+
 # ---------------------------------------------------------------------------
 # The check registry
 
 CHECKS: dict = {}
 
 
-def check(check_id: str, tolerance: float, budget: int):
+def check(check_id: str, tolerance: float, budget: int | None):
     """Register the decorated body as check `check_id` in CHECKS.
 
     The body takes (seed, budget) and returns (passed, statistic[, details]).
     The registered function is called as (seed=0, budget=<default>); it times
     the body and returns a CheckResult.  Its `default_budget` attribute is
-    the budget run_suite scales."""
+    the budget run_suite scales.  A fixed-size check registers budget=None:
+    its body takes (seed) alone, and an explicit budget raises ValueError."""
 
     def register(body):
         @functools.wraps(body)
-        def run(seed: int = 0, budget: int = budget) -> CheckResult:
+        def run(seed: int = 0, budget: int | None = budget) -> CheckResult:
+            if run.default_budget is None and budget is not None:
+                raise ValueError(f"check {check_id!r} has a fixed size: no budget")
             t0 = time.time()
-            passed, statistic, *details = body(seed, budget)
+            args = (seed,) if budget is None else (seed, budget)
+            passed, statistic, *details = body(*args)
             return CheckResult(
                 check_id, passed, statistic, tolerance, time.time() - t0, *details
             )
@@ -336,8 +357,8 @@ def check_formal_identity(seed, budget):
     return worst <= 1e-12, worst
 
 
-@check("qwhittaker-n1", 1e-8, budget=1)
-def check_qwhittaker_n1(seed, budget):
+@check("qwhittaker-n1", 1e-8, budget=None)
+def check_qwhittaker_n1(seed):
     """Nested-integral q-Whittaker moments against the series oracle, N=1."""
     rng = stream(seed, 8)
     worst = 0.0
@@ -359,8 +380,8 @@ def check_qwhittaker_n1(seed, budget):
     return worst <= 1e-8, worst
 
 
-@check("commutation", 1e-10, budget=1)
-def check_commutation(seed, budget):
+@check("commutation", 1e-10, budget=None)
+def check_commutation(seed):
     """Truncated transition matrices commute entrywise."""
     rng = stream(seed, 9)
     worst = 0.0
@@ -452,21 +473,9 @@ def check_distribution_equality(seed, budget):
         hv = heights[:, T, N]
         xv = qtasep.sample_mixed_batch(p, N, T, budget, seed + 77 + N + 10 * T)
         xs = xv[:, N - 1] + N
-        k_top = int(max(hv.max(), xs.max()))
-        c1 = np.bincount(hv.astype(np.int64), minlength=k_top + 1).astype(float)
-        c2 = np.bincount(xs.astype(np.int64), minlength=k_top + 1).astype(float)
-        # pool cells with few counts
-        keep = (c1 + c2) >= 10
-        o1 = np.append(c1[keep], c1[~keep].sum())
-        o2 = np.append(c2[keep], c2[~keep].sum())
-        n1, n2 = o1.sum(), o2.sum()
-        pooled = (o1 + o2) / (n1 + n2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chi2 = np.nansum(
-                (o1 - n1 * pooled) ** 2 / (n1 * pooled)
-                + (o2 - n2 * pooled) ** 2 / (n2 * pooled)
-            )
-        pval = float(stats.chi2.sf(chi2, int((pooled > 0).sum()) - 1))
+        cells = int(max(hv.max(), xs.max())) + 1
+        c1, c2 = (np.bincount(v.astype(np.int64), minlength=cells) for v in (hv, xs))
+        _, pval = chi2_two_sample(c1, c2)
         details[f"N={N},T={T}"] = round(pval, 6)
         worst_p = _min_p(worst_p, pval, details, f"N={N},T={T}")
     return worst_p > 1e-4, worst_p, details
@@ -515,8 +524,8 @@ def check_schur_matching(seed, budget):
     return worst_dev <= 4.0, worst_dev, details
 
 
-@check("fredholm-bruteforce", 1e-6, budget=1)
-def check_fredholm_bruteforce(seed, budget):
+@check("fredholm-bruteforce", 1e-6, budget=None)
+def check_fredholm_bruteforce(seed):
     """Fredholm determinant length law against partition enumeration."""
     worst = 0.0
     cases = [(N, T, -2.0) for N in (1, 2, 3) for T in (1, 2, 3)]
@@ -583,7 +592,7 @@ def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
             raise KeyError(f"unknown check id {cid!r}")
         fn = CHECKS[cid]
         kwargs = {"seed": seed}
-        if budget_scale != 1.0:
+        if budget_scale != 1.0 and fn.default_budget is not None:
             kwargs["budget"] = max(int(fn.default_budget * budget_scale), 1)
         results.append(fn(**kwargs))
     if out_dir is not None:

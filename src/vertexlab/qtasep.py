@@ -329,54 +329,60 @@ def sample_mixed_batch(
     """Vectorized mixed q-TASEP: N-1 geometric moves (alpha = c_2..c_N) and
     T Bernoulli moves (beta = -u_1..-u_T) from the step configuration.
     Jump laws and the blocking factor q^gap are cut at GEOM_TAIL_CUT (see
-    _geom_cdf_rows and _gap_cap).  Returns positions of shape (n_samples, L)."""
+    _geom_cdf_rows and _gap_cap).  Returns positions of shape (n_samples, L).
+
+    Each move draws one uniform per replica and particle, also for gap-0
+    particles, whose geometric jump is 0 without a table lookup.  In a
+    Bernoulli move the latest particle at or before i that jumps even when
+    blocked (code 2i+1) or stays even when pushed (code 2i) decides i's move:
+    i jumps iff the running maximum of the codes is odd."""
     if L is None:
         L = N
     rng = stream(seed, 0)
     R = int(n_samples)
     a = np.array(p.a[:L])
+    c = p.c
+    rates, bulk = set(p.a[:L]), set(p.a[1:L])
     X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
     tables = {}  # rate a_i * alpha -> (cdf table, rows laid out on [m, m+1))
+    U = np.empty((R, L - 1))
     for n in range(2, N + 1):
-        alpha = p.c[n - 1]
+        alpha = c[n - 1]
         if alpha <= 0.0:
             raise ValueError(f"geometric move needs nu_{n} > 0")
-        for ai in set(p.a[:L]):
+        for ai in rates:
             if ai * alpha >= 1.0:
                 raise ValueError(f"rate violation: a*alpha = {ai * alpha} >= 1")
             if ai * alpha not in tables:
                 cdf = _geom_cdf_rows(ai * alpha, p.q)
                 tables[ai * alpha] = (cdf, (cdf + np.arange(len(cdf))[:, None]).ravel())
-        gaps = X[:, :-1] - X[:, 1:] - 1
-        u_draw = np.minimum(rng.random(gaps.shape), 1 - 1e-16)
-        jumps = np.empty_like(gaps)
-        bulk = set(p.a[1:L])
+        rng.random(out=U)
+        # from the step configuration only the first n-2 gaps can be positive
+        k = min(n - 2, L - 1)
+        gaps = X[:, :k] - X[:, 1 : k + 1] - 1
         for ai in bulk:
-            cols = a[1:] == ai if len(bulk) > 1 else slice(None)
+            free = (gaps > 0) & (a[1 : k + 1] == ai)
             cdf, flat = tables[ai * alpha]
             m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
-            rows = np.minimum(gaps[:, cols], m_cap)
-            pos = np.searchsorted(flat, (rows + u_draw[:, cols]).ravel(), side="left")
-            j = (pos - rows.ravel() * width).reshape(rows.shape)
-            jumps[:, cols] = np.minimum(j, np.minimum(gaps[:, cols], width - 1))
+            g = gaps[free]
+            rows = np.minimum(g, m_cap)
+            u_draw = np.minimum(U[:, :k][free], 1 - 1e-16)
+            j = np.searchsorted(flat, rows + u_draw) - rows * width
+            X[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
         X[:, 0] += np.searchsorted(tables[a[0] * alpha][0][-1], rng.random(R))
-        X[:, 1:] += jumps
     k_cap = _gap_cap(p.q)
     qpow = p.q ** np.arange(k_cap + 1, dtype=np.float64)
-    idx = np.arange(1, L + 1, dtype=np.int64)
+    idx2 = np.arange(2, 2 * L + 1, 2, dtype=np.int32)
+    V, A = np.empty((R, L)), np.empty((R, L), dtype=bool)
     for t in range(T):
         beta = -p.u[t]
         p_jump = a * beta / (1.0 + a * beta)
-        V = rng.random((R, L))
+        rng.random(out=V)
         gaps = np.minimum(X[:, :-1] - X[:, 1:] - 1, k_cap)
-        block = qpow[gaps]
-        A = np.empty((R, L), dtype=bool)
-        A[:, 0] = V[:, 0] < p_jump[0]
-        A[:, 1:] = V[:, 1:] < p_jump[1:] * (1.0 - block)
-        B = V < p_jump[None, :]
-        last_a = np.maximum.accumulate(np.where(A, idx[None, :], 0), axis=1)
-        last_nb = np.maximum.accumulate(np.where(~B, idx[None, :], 0), axis=1)
-        X += ((last_a >= last_nb) & (last_a > 0)).astype(np.int64)
+        np.less(V[:, 0], p_jump[0], out=A[:, 0])
+        np.less(V[:, 1:], p_jump[1:] * (1.0 - qpow[gaps]), out=A[:, 1:])
+        code = ((V >= p_jump) | A) * idx2 + A
+        X += np.maximum.accumulate(code, axis=1) & 1
     return X
 
 

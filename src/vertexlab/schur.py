@@ -10,6 +10,7 @@ moves then have alpha = q and Bernoulli moves beta = -u.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -378,10 +379,18 @@ def airy_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return K
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(n_nodes: int):
+    """Read-only Gauss-Legendre nodes and weights, computed once per size."""
+    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def tracy_widom_cdf(r: float, n_nodes: int = 48, scale: float = 2.0) -> float:
     """F_GUE(r) = det(1 - K_Airy) on L^2(r, inf), by Gauss-Legendre
     quadrature mapped onto the half-line."""
-    t, w = np.polynomial.legendre.leggauss(int(n_nodes))
+    t, w = _legendre_nodes(int(n_nodes))
     x = r + scale * (1.0 + t) / (1.0 - t)
     dx = 2.0 * scale / (1.0 - t) ** 2
     sq = np.sqrt(w * dx)

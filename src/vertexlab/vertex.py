@@ -194,27 +194,29 @@ def sample_quadrant_batch(
     n_max, t_max = _window_check(p, window)
     rng = stream(seed, 0)
     S = int(n_samples)
-    m = np.zeros((S, n_max), dtype=np.int32)
+    m = np.zeros((n_max, S), dtype=np.int32)
+    suffix = np.empty_like(m)
     # heights are at most t_max; int16 halves the memory of large batches
     dtype = np.int16 if t_max < 2**15 else np.int32
     heights = np.zeros((S, t_max + 1, n_max + 1), dtype=dtype)
     exited = np.zeros(S, dtype=np.int32)
+    qpow = p.q ** np.arange(t_max + 1)  # a column holds at most t_max paths
+    step = np.array([-1, 1], dtype=np.int32)
     for T in range(1, t_max + 1):
         u = p.u[T - 1]
         j = np.ones(S, dtype=bool)
-        for N in range(1, n_max + 1):
-            a, nu = p.a[N - 1], p.nu[N - 1]
-            g = m[:, N - 1]
-            qg = p.q ** g
+        for g, a, nu in zip(m, p.a, p.nu):
+            qg = qpow[g]
             denom = 1.0 - a * u
             first = rng.random(S) < np.where(
                 j, (nu * qg - a * u) / denom, (1.0 - a * u * qg) / denom
             )
-            m[:, N - 1] = np.where(j, np.where(first, g, g + 1), np.where(first, g, g - 1))
-            j = np.where(j, first, ~first)
+            g += step[j.view(np.uint8)] * ~first
+            j = j == first
         exited += j
-        suffix = np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
-        heights[:, T, :n_max] = suffix + exited[:, None]
+        np.cumsum(m[::-1], axis=0, dtype=np.int32, out=suffix)
+        suffix += exited
+        heights[:, T, :n_max] = suffix[::-1].T
         heights[:, T, n_max] = exited
     return heights
 

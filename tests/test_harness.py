@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from vertexlab import harness
+from scipy import stats
+
 from vertexlab.harness import (
     chi2_gof,
+    chi2_two_sample,
     draw_params,
     run_suite,
 )
@@ -29,6 +32,23 @@ def test_chi2_gof_calibration():
     assert ok >= int(0.96 * reps)
     # one sample pools into a single cell: no degree of freedom, no p-value
     assert np.isnan(chi2_gof({0: 1}, oracle)[1])
+
+
+def test_chi2_two_sample_matches_contingency_table():
+    rng = stream(98, 0)
+    c1 = np.bincount(rng.poisson(3.0, 4000), minlength=20)
+    c2 = np.bincount(rng.poisson(3.1, 3000), minlength=20)
+    chi2, p = chi2_two_sample(c1, c2)
+    # the same pooling by hand: cells under 10 counts in all go to the tail
+    keep = c1 + c2 >= 10
+    assert 0 < (c1 + c2)[~keep].sum() and keep.sum() >= 5
+    table = np.array([np.append(c[keep], c[~keep].sum()) for c in (c1, c2)])
+    ref = stats.chi2_contingency(table, correction=False)
+    assert np.isclose(chi2, ref[0], rtol=1e-12) and np.isclose(p, ref[1], rtol=1e-9)
+    # every cell kept: the empty tail cell adds no degree of freedom
+    chi2, p = chi2_two_sample(c1[:6], c2[:6], min_count=1)
+    ref = stats.chi2_contingency(np.array([c1[:6], c2[:6]]), correction=False)
+    assert np.isclose(chi2, ref[0], rtol=1e-12) and np.isclose(p, ref[1], rtol=1e-9)
 
 
 def test_draw_params_regimes():
@@ -82,6 +102,25 @@ def test_run_suite_scales_default_budgets(tmp_path):
     assert [r.payload() for r in results] == expected
     # the scaled budgets differ from the defaults: 10, 1 and 1 draws
     assert expected != [harness.CHECKS[cid](seed=3).payload() for cid in ids]
+
+
+@pytest.mark.parametrize(
+    "check_id", ["qwhittaker-n1", "commutation", "fredholm-bruteforce"]
+)
+def test_fixed_size_checks_take_no_budget(check_id):
+    fn = harness.CHECKS[check_id]
+    assert fn.default_budget is None
+    with pytest.raises(ValueError, match=check_id):
+        fn(seed=0, budget=5)
+
+
+def test_run_suite_leaves_fixed_size_checks_unscaled():
+    ids = ["commutation", "formal-identity"]
+    _, results = run_suite(ids, seed=2, budget_scale=0.01)
+    assert [r.payload() for r in results] == [
+        harness.CHECKS["commutation"](seed=2).payload(),
+        harness.CHECKS["formal-identity"](seed=2, budget=1).payload(),
+    ]
 
 
 def test_reports_reproducible():
