@@ -119,11 +119,10 @@ def chi2_gof(counts: dict, oracle: dict, min_expected: float = 5.0):
     return chi2, float(stats.chi2.sf(chi2, len(pooled_obs) - 1))
 
 
-def chi2_two_sample(c1, c2, min_count: int = 10):
-    """Chi-square test that two count arrays over the same cells share one
-    law; returns (chi2, p).  Cells with under min_count counts in both samples
-    together pool into one tail cell; an empty cell adds no degree of freedom."""
-    keep = (c1 + c2) >= min_count
+def chi2_two_sample(c1, c2):
+    """Two-sample chi-square over the same cells; returns (chi2, p).  Cells with
+    under 10 counts in all pool into one tail cell, which counts only if non-empty."""
+    keep = (c1 + c2) >= 10
     o1 = np.append(c1[keep], c1[~keep].sum())
     o2 = np.append(c2[keep], c2[~keep].sum())
     n1, n2 = o1.sum(), o2.sum()

@@ -381,7 +381,6 @@ def airy_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _legendre_nodes(n_nodes: int):
-    """Read-only Gauss-Legendre nodes and weights, computed once per size."""
     t, w = np.polynomial.legendre.leggauss(n_nodes)
     t.flags.writeable = w.flags.writeable = False
     return t, w
