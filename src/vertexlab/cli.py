@@ -20,7 +20,7 @@ from .core import ModelParams, params_from_config
 
 def _load_params(args) -> ModelParams:
     if not args.config:
-        raise SystemExit(2)
+        raise ValueError(f"{args.command} requires --config")
     text = pathlib.Path(args.config).read_text()
     p, _ = params_from_config(text)
     return p
@@ -33,20 +33,13 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _out_path(args, default_name: str):
+def _emit(args, default_name: str, text: str):
     if args.out:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return out / default_name
-    return None
-
-
-def _emit(args, default_name: str, text: str):
-    path = _out_path(args, default_name)
-    if path is None:
-        sys.stdout.write(text)
+        (out / default_name).write_text(text)
     else:
-        path.write_text(text)
+        sys.stdout.write(text)
 
 
 def _parse_boundary(spec: str) -> vertex.Boundary:
@@ -56,7 +49,10 @@ def _parse_boundary(spec: str) -> vertex.Boundary:
         return vertex.STEP_BERNOULLI
     if spec.startswith("gen-step-bernoulli:"):
         return vertex.gen_step_bernoulli(int(spec.split(":")[1]))
-    raise SystemExit(2)
+    raise ValueError(
+        f"unknown --boundary {spec!r}: use step, step-bernoulli or "
+        "gen-step-bernoulli:R"
+    )
 
 
 def cmd_sample_vertex(args) -> int:
@@ -120,11 +116,9 @@ def cmd_schur(args) -> int:
     elif args.mode == "fredholm":
         cdf = schur.fredholm_length_cdf(s, range(s.T + 1))
         text = json.dumps({str(k): v for k, v in cdf.items()}, indent=2) + "\n"
-    elif args.mode == "tracy-widom":
+    else:
         r = 0.0 if args.r is None else args.r
         text = json.dumps({"r": r, "F": schur.tracy_widom_cdf(r)}) + "\n"
-    else:
-        raise SystemExit(2)
     _emit(args, f"schur_{args.mode}.json", text)
     return 0
 
@@ -139,11 +133,7 @@ def cmd_asymptotics(args) -> int:
         {k: (float(v) if hasattr(v, "item") else v) for k, v in rep.summary().items()},
         indent=2,
     )
-    path = _out_path(args, "asymptotics_summary.json")
-    if path is None:
-        sys.stdout.write(summary + "\n")
-    else:
-        path.write_text(summary + "\n")
+    _emit(args, "asymptotics_summary.json", summary + "\n")
     return 0
 
 

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 from .core import INFINITY, ModelParams, params_digest
 from .qtasep import TimeLikePath, bernoulli_law, geometric_law, q_geom_law
-from .vertex import vertex_weight_row
+from .vertex import Boundary, vertex_weight_row
+
+# Infinite-support jump laws are cut at cumulative 1 - TAIL_CUT, the DP drops
+# joint weights below PRUNE_FLOOR, and a check passes when TV + truncation
+# deficit <= TV_TOL; cut and dropped mass is counted in the deficit.
+TAIL_CUT = 1e-12
+PRUNE_FLOOR = 1e-16
+TV_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,7 @@ def _tv(p1: dict, p2: dict) -> float:
     return 0.5 * sum(abs(p1.get(k, 0.0) - p2.get(k, 0.0)) for k in keys)
 
 
-def _dagger_law(
-    x, m: int, a, alpha: float, beta: float, q: float, tail: float, keep: tuple
-):
+def _dagger_law(x, m: int, a, alpha: float, beta: float, q: float, keep: tuple):
     """Exact joint law of (y_{m-1}, x'_m, y-dagger_m), marginalized onto the
     coordinates listed in `keep`: a Bernoulli move of particles 1..m-1, an
     independent geometric jump of particle m, then the local vertex-weight
@@ -109,7 +114,7 @@ def _dagger_law(
     deficit = 0.0
     x_prev = INFINITY if m == 1 else x[m - 2]
     gap_m = INFINITY if m == 1 else x[m - 2] - x[m - 1] - 1
-    geom_pairs, d = q_geom_law(gap_m, a[m - 1] * alpha, q, tail)
+    geom_pairs, d = q_geom_law(gap_m, a[m - 1] * alpha, q, TAIL_CUT)
     for y, pb in _jumps_first(bernoulli_law(x[: m - 1], a, beta, q)):
         y_prev = INFINITY if m == 1 else y[m - 2]
         deficit += pb * d
@@ -131,46 +136,32 @@ def _jumps_first(law: list) -> list:
 
 
 def joint_law_check_prop_A(
-    x,
-    m: int,
-    a,
-    alpha: float,
-    beta: float,
-    q: float,
-    tail: float = 1e-12,
-    tol: float = 1e-8,
+    x, m: int, a, alpha: float, beta: float, q: float
 ) -> CouplingReport:
     """Exact joint pmf of (y_{m-1}, y-dagger_m) vs (y_{m-1}, y^{BG}_m)."""
-    dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, tail, keep=(0, 2))
+    dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, keep=(0, 2))
     # BG route: a Bernoulli move of particles 1..m, then the geometric jump
     # of particle m against the moved particle m-1.
     composed: dict = {}
     for y, pb in _jumps_first(bernoulli_law(x[:m], a, beta, q)):
         y_prev = INFINITY if m == 1 else y[m - 2]
         gap = INFINITY if m == 1 else y_prev - y[m - 1] - 1
-        pairs, d2 = q_geom_law(gap, a[m - 1] * alpha, q, tail)
+        pairs, d2 = q_geom_law(gap, a[m - 1] * alpha, q, TAIL_CUT)
         deficit += pb * d2
         for j, pg in pairs:
             key = (y_prev, y[m - 1] + j)
             composed[key] = composed.get(key, 0.0) + pb * pg
     tv = _tv(dagger, composed)
     return CouplingReport(
-        f"prop_A(m={m})", "", tv, deficit, tv + deficit <= tol
+        f"prop_A(m={m})", "", tv, deficit, tv + deficit <= TV_TOL
     )
 
 
 def joint_law_check_prop_B(
-    x,
-    m: int,
-    a,
-    alpha: float,
-    beta: float,
-    q: float,
-    tail: float = 1e-12,
-    tol: float = 1e-8,
+    x, m: int, a, alpha: float, beta: float, q: float
 ) -> CouplingReport:
     """Exact joint pmf of (x'_m, y-dagger_m) vs (x'_m, y^{GB}_m)."""
-    dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, tail, keep=(1, 2))
+    dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, keep=(1, 2))
     # GB route: independent geometric jumps of particles 1..m, then a
     # Bernoulli move on the jumped configuration down to particle m.
     composed: dict = {}
@@ -183,7 +174,7 @@ def joint_law_check_prop_B(
                 composed[key] = composed.get(key, 0.0) + prob * pb
             return
         gap = INFINITY if i == 0 else x[i - 1] - x[i] - 1
-        pairs, d2 = q_geom_law(gap, a[i] * alpha, q, tail)
+        pairs, d2 = q_geom_law(gap, a[i] * alpha, q, TAIL_CUT)
         deficit += prob * d2
         for j, pg in pairs:
             geom_prefix(i + 1, xs + (x[i] + j,), prob * pg)
@@ -191,7 +182,7 @@ def joint_law_check_prop_B(
     geom_prefix(0, (), 1.0)
     tv = _tv(dagger, composed)
     return CouplingReport(
-        f"prop_B(m={m})", "", tv, deficit, tv + deficit <= tol
+        f"prop_B(m={m})", "", tv, deficit, tv + deficit <= TV_TOL
     )
 
 
@@ -251,13 +242,7 @@ def _vertex_joint_law(path: TimeLikePath, p: ModelParams, r: int) -> dict:
     return law
 
 
-def _tasep_joint_law(
-    path: TimeLikePath,
-    p: ModelParams,
-    r: int,
-    tail: float,
-    prune: float,
-):
+def _tasep_joint_law(path: TimeLikePath, p: ModelParams, r: int):
     """Exact joint law of x_{N_t+r-1}(N_t,T_t) + N_t + r - 1 along the path
     by DP over truncated particle configurations; returns (law, deficit)."""
     L = max(n for n, _ in path.points) + r - 1
@@ -274,11 +259,11 @@ def _tasep_joint_law(
                 alpha = c[n1 + r - 2]
                 if alpha <= 0.0:
                     raise ValueError(f"geometric move needs nu_{n1 + r - 1} > 0")
-                law, d = geometric_law(cfg, p.a, alpha, p.q, tail)
+                law, d = geometric_law(cfg, p.a, alpha, p.q, TAIL_CUT)
                 deficit += prob * d
             for target, pr in law:
                 w = prob * pr
-                if w < prune:
+                if w < PRUNE_FLOOR:
                     deficit += w
                     continue
                 key = (target, vals + (target[n1 + r - 2] + n1 + r - 1,))
@@ -291,25 +276,19 @@ def _tasep_joint_law(
 
 
 def theorem_coupling_check(
-    path: TimeLikePath,
-    p: ModelParams,
-    r: int = 1,
-    tail: float = 1e-12,
-    prune: float = 1e-16,
-    tol: float = 1e-8,
+    path: TimeLikePath, p: ModelParams, r: int = 1
 ) -> CouplingReport:
     """TV distance between the exact joint law of the height values
     h(N_t + r, T_t) along the path (step-Bernoulli of order r) and the exact
     joint law of the shifted mixed q-TASEP particles X(P)."""
-    if any(p.nu[i] != 0.0 for i in range(r)):
-        raise ValueError(f"order-{r} boundary requires nu_1..nu_{r} = 0")
+    Boundary(r).validate(p)
     vertex_law = _vertex_joint_law(path, p, r)
-    tasep_law, deficit = _tasep_joint_law(path, p, r, tail, prune)
+    tasep_law, deficit = _tasep_joint_law(path, p, r)
     tv = _tv(vertex_law, tasep_law)
     return CouplingReport(
         f"coupling_theorem(r={r},path={path.points})",
         params_digest(p),
         tv,
         deficit,
-        tv + deficit <= tol,
+        tv + deficit <= TV_TOL,
     )

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import INFINITY, ModelParams, q_pochhammer
+from .moments import _check_product_args
 
 A_COLLISION_REL_TOL = 1e-9
 
@@ -112,14 +113,10 @@ def operator_expectation(N_list, T: int, M: int, p: ModelParams) -> float:
     """Product-form observable by the operator route:
     (D_{N_ell} ... D_{N_1} Phi_M) / Phi_M evaluated at the model's (a, nu),
     with memoized evaluations on the q-shift lattice."""
-    N_list = tuple(int(n) for n in N_list)
-    if any(n0 < n1 for n0, n1 in zip(N_list, N_list[1:])):
-        raise ValueError("N_list must be non-increasing")
-    if not N_list or N_list[-1] < 1:
-        raise ValueError("N_list entries must be >= 1")
+    N_list = _check_product_args(N_list, T, p)
     if M < N_list[0]:
         raise ValueError(f"M = {M} must be >= N_1 = {N_list[0]}")
-    if M > len(p.a) or T > len(p.u):
+    if M > len(p.a):
         raise ValueError("window exceeds available parameters")
     u = p.u[:T]
     memo: dict = {}

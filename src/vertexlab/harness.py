@@ -27,7 +27,7 @@ from scipy import stats
 
 from . import coupling, diffops, moments, qtasep, schur, vertex
 from .core import INFINITY, ModelParams, Specialization, q_pochhammer
-from .rng import stream
+from .rng import offset_seed, stream
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +93,11 @@ def _min_p(worst: float, p: float, details: dict, key: str) -> float:
     return min(worst, p)
 
 
-def chi2_gof(counts: dict, oracle: dict, min_expected: float = 5.0):
+def chi2_gof(counts: dict, oracle: dict):
     """Chi-square goodness of fit of empirical counts against an oracle pmf;
     returns (chi2, p).  Atoms are taken in decreasing oracle probability
-    while their expected count is at least min_expected and the rest keeps
-    more than min_expected; everything else is pooled into one tail cell.
+    while their expected count is at least 5 and the rest keeps more than 5;
+    everything else is pooled into one tail cell.
     With a single cell left there is no degree of freedom and p is NaN."""
     n = sum(counts.values())
     keys = sorted(oracle, key=lambda k: -oracle[k])
@@ -106,7 +106,7 @@ def chi2_gof(counts: dict, oracle: dict, min_expected: float = 5.0):
     tail_exp = float(n)
     for k in keys:
         e = n * oracle[k]
-        if e >= min_expected and tail_exp - e > min_expected:
+        if e >= 5.0 and tail_exp - e > 5.0:
             pooled_obs.append(counts.get(k, 0))
             pooled_exp.append(e)
             tail_obs -= counts.get(k, 0)
@@ -470,7 +470,9 @@ def check_distribution_equality(seed, budget):
     )
     for N, T in itertools.product((1, 2, 3, 4), (1, 2, 3, 4)):
         hv = heights[:, T, N]
-        xv = qtasep.sample_mixed_batch(p, N, T, budget, seed + 77 + N + 10 * T)
+        xv = qtasep.sample_mixed_batch(
+            p, N, T, budget, offset_seed(seed, 77 + N + 10 * T)
+        )
         xs = xv[:, N - 1] + N
         cells = int(max(hv.max(), xs.max())) + 1
         c1, c2 = (np.bincount(v.astype(np.int64), minlength=cells) for v in (hv, xs))
@@ -495,7 +497,7 @@ def check_schur_matching(seed, budget):
             q=q, u=(u,) * T, a=(a1,) + (1.0,) * (N + 1), nu=(0.0,) + (q,) * (N + 1)
         )
         heights = vertex.sample_quadrant_batch(
-            p, vertex.STEP_BERNOULLI, (N + 2, T), budget, seed + N + 10 * T
+            p, vertex.STEP_BERNOULLI, (N + 2, T), budget, offset_seed(seed, N + 10 * T)
         )
         hv = heights[:, T, N]
         for zeta in (0.3, 1.0):
@@ -570,7 +572,7 @@ FULL_SUITE = list(CHECKS)
 def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
     """Run a list of checks (suite name, list of ids, or a JSON spec file);
     returns (exit_code, results).  Writes per-check JSON and a summary CSV
-    when out_dir is given."""
+    when out_dir is given.  ValueError unless budget_scale > 0."""
     import pathlib
 
     if isinstance(spec, str):
@@ -585,6 +587,8 @@ def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
             budget_scale = doc.get("budget_scale", budget_scale)
     else:
         check_ids = list(spec)
+    if not budget_scale > 0:
+        raise ValueError(f"budget_scale must be > 0, got {budget_scale}")
     results = []
     for cid in check_ids:
         if cid not in CHECKS:

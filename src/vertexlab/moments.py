@@ -49,7 +49,9 @@ class ContourSpec:
     inside_points: tuple = ()
     outside_points: tuple = ()
 
-    def validate(self, margin: float = 1e-9):
+    def validate(self):
+        """Check each point and nesting condition with a 1e-9 margin."""
+        margin = 1e-9
         for (c, r) in self.circles:
             if r <= 0:
                 raise ContourError(f"nonpositive radius {r}")
@@ -69,12 +71,11 @@ class ContourSpec:
         return self
 
 
-def build_nested_a_contours(
-    a_pts, exclusions, q: float, ell: int, right_pad: float = 0.25
-) -> ContourSpec:
+def build_nested_a_contours(a_pts, exclusions, q: float, ell: int) -> ContourSpec:
     """Circles around the a cluster for the nested moment formulas.
 
-    All circles share the right edge just beyond max(a); left edges march
+    All circles share the right edge 1.25 max(a), or halfway to the nearest
+    excluded pole if that is closer; left edges march
     toward zero fast enough that circle_j contains q * circle_{j+1}.
     Feasibility requires the excluded points (a_i/nu_i poles) to sit
     strictly right of the cluster; the q-nesting toward zero is available
@@ -88,7 +89,7 @@ def build_nested_a_contours(
         raise ContourError(
             f"excluded pole {excl_right} is not to the right of the a cluster"
         )
-    R = min(amax * (1.0 + right_pad), 0.5 * (amax + excl_right))
+    R = min(amax * 1.25, 0.5 * (amax + excl_right))
     # Equalize the left-edge gaps: the distances (amin - L_ell),
     # (q L_{j+1} - L_j), and (L_1 - 0) all equal g, which balances the
     # aliasing rates of the zero pole, the a poles, and the q-nesting poles.
@@ -246,6 +247,30 @@ def _check_product_args(N_list, T, p, allow_zero=False):
     return N_list
 
 
+def _doubled_quadrature(h_list, a_pts, exclusions, q: float, n, doubling_tol: float):
+    """(-1)^ell q^{ell(ell-1)/2} times nested_contour_quadrature of h_list on
+    the nested a contours, with n nodes per circle (QUAD_NODES[ell] if None)
+    and again with 2n.  Returns (value on 2n, |difference|); raises
+    QuadratureError if doubling moves the value by more than doubling_tol or
+    leaves it nonreal."""
+    ell = len(h_list)
+    if ell > max(QUAD_NODES):
+        raise ValueError(f"quadrature supports up to {max(QUAD_NODES)} variables")
+    n = int(QUAD_NODES[ell] if n is None else n)
+    contours = build_nested_a_contours(a_pts, exclusions, q, ell)
+    pref = (-1.0) ** ell * q ** (ell * (ell - 1) // 2)
+    v1 = pref * nested_contour_quadrature(h_list, contours, q, n)
+    v2 = pref * nested_contour_quadrature(h_list, contours, q, 2 * n)
+    err = abs(v2 - v1)
+    if err > doubling_tol:
+        raise QuadratureError(
+            f"grid doubling moved the value by {err} > {doubling_tol}"
+        )
+    if abs(v2.imag) > 1e-9:
+        raise QuadratureError(f"nonreal quadrature value {v2}")
+    return float(v2.real), float(err)
+
+
 def moment_product_quadrature(
     N_list, T: int, p: ModelParams, n: int | None = None, doubling_tol: float = 1e-10
 ):
@@ -256,26 +281,11 @@ def moment_product_quadrature(
     moves the value by more than doubling_tol.
     """
     N_list = _check_product_args(N_list, T, p)
-    ell = len(N_list)
-    if ell > max(QUAD_NODES):
-        raise ValueError(f"quadrature supports up to {max(QUAD_NODES)} variables")
-    if n is None:
-        n = QUAD_NODES[ell]
-    n1 = int(n)
     exclusions = [p.a[i] / p.nu[i] for i in range(N_list[0]) if p.nu[i] > 0]
-    contours = build_nested_a_contours(p.a[: N_list[0]], exclusions, p.q, ell)
     h_list = [_product_h_factory(N_j, T, p)[0] for N_j in N_list]
-    pref = (-1.0) ** ell * p.q ** (ell * (ell - 1) // 2)
-    v1 = pref * nested_contour_quadrature(h_list, contours, p.q, n1)
-    v2 = pref * nested_contour_quadrature(h_list, contours, p.q, 2 * n1)
-    err = abs(v2 - v1)
-    if err > doubling_tol:
-        raise QuadratureError(
-            f"grid doubling moved the value by {err} > {doubling_tol}"
-        )
-    if abs(v2.imag) > 1e-9:
-        raise QuadratureError(f"nonreal quadrature value {v2}")
-    return float(v2.real), float(err)
+    return _doubled_quadrature(
+        h_list, p.a[: N_list[0]], exclusions, p.q, n, doubling_tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,38 +442,27 @@ def moment_qwhittaker(
     a,
     q: float,
     method: str = "quadrature",
-    n: int | None = None,
-    doubling_tol: float = 1e-10,
 ) -> float:
     """E[q^{ell * lambda_N}] under the q-Whittaker measure with variables a
     and specialization rho, by the ell-fold nested contour integral.
 
-    method "quadrature" (ell <= 4, with grid-doubling check) or "residues"
-    (exact, any ell up to the combinatorial cap).
+    method "quadrature" (ell <= 4, QUAD_NODES[ell] nodes, with a 1e-10
+    grid-doubling check) or "residues" (exact, any ell up to the
+    combinatorial cap).
     """
     a = tuple(float(x) for x in a[:N])
     for ai in a:
         for al in rho.alphas:
             if abs(ai * al) >= 1.0:
                 raise ValueError(f"|a_i alpha_j| = {abs(ai * al)} >= 1")
-    pref = (-1.0) ** ell * q ** (ell * (ell - 1) // 2)
     h, poles = _qwhittaker_h_factory(N, rho, a, q)
     if method == "residues":
-        val = _nested_residue_sum_a([h] * ell, [poles] * ell, q)
-        return pref * val
+        pref = (-1.0) ** ell * q ** (ell * (ell - 1) // 2)
+        return pref * _nested_residue_sum_a([h] * ell, [poles] * ell, q)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    if ell > max(QUAD_NODES):
-        raise ValueError("quadrature supports up to 4 nested variables")
-    if n is None:
-        n = QUAD_NODES[ell]
     exclusions = [1.0 / al for al in rho.alphas if al > 0]
-    contours = build_nested_a_contours(a, exclusions, q, ell)
-    v1 = pref * nested_contour_quadrature([h] * ell, contours, q, int(n))
-    v2 = pref * nested_contour_quadrature([h] * ell, contours, q, 2 * int(n))
-    if abs(v2 - v1) > doubling_tol:
-        raise QuadratureError(f"grid doubling moved the value by {abs(v2 - v1)}")
-    return float(v2.real)
+    return _doubled_quadrature([h] * ell, a, exclusions, q, None, 1e-10)[0]
 
 
 def matching_specialization(p: ModelParams, N: int, T: int) -> Specialization:
@@ -493,7 +492,6 @@ def q_laplace(
     mode: str,
     budget: int = 100_000,
     seed: int = 0,
-    series_tol: float = QLAPLACE_SERIES_TOL,
 ):
     """E[(zeta q^T nu_1..nu_N; q)_inf / (zeta q^{h(N+1,T)}; q)_inf] in VERTEX
     mode (Monte Carlo, returns (mean, stderr)), or the matching q-Whittaker
@@ -516,7 +514,7 @@ def q_laplace(
     ell = 1
     while True:
         coeff = abs(zeta) ** ell / q_pochhammer(q, q, ell)
-        if coeff < series_tol:
+        if coeff < QLAPLACE_SERIES_TOL:
             tail = coeff / (1.0 - abs(zeta)) if abs(zeta) < 1 else coeff
             return float(total), float(tail)
         if ell > QLAPLACE_ELL_CAP:

@@ -59,48 +59,6 @@ def q_geom_law(m, alpha: float, q: float, tail: float = GEOM_TAIL_CUT):
     return pairs, max(0.0, 1.0 - acc)
 
 
-def q_hahn_pmf(eta: float, zeta: float, q: float, ell, j: int) -> float:
-    """q-deformed Beta-binomial weight phi_{q,eta,zeta}(j | ell).
-
-    Nonnegativity is checked numerically on the computed value rather than
-    through a closed-form parameter regime.
-    """
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
-    if eta == 0.0:
-        if zeta != 0.0:
-            raise ValueError("eta = 0 with zeta != 0 is undefined")
-        return 1.0 if j == 0 else 0.0
-    ratio = zeta / eta
-    if ell == INFINITY:
-        w = (
-            eta**j
-            * q_pochhammer(ratio, q, j)
-            * q_pochhammer(eta, q, INFINITY)
-            / (q_pochhammer(q, q, j) * q_pochhammer(zeta, q, INFINITY))
-        )
-    else:
-        ell = int(ell)
-        if j > ell:
-            raise ValueError(f"j = {j} exceeds ell = {ell}")
-        w = (
-            eta**j
-            * q_pochhammer(ratio, q, j)
-            * q_pochhammer(eta, q, ell - j)
-            * q_pochhammer(q, q, ell)
-            / (
-                q_pochhammer(zeta, q, ell)
-                * q_pochhammer(q, q, j)
-                * q_pochhammer(q, q, ell - j)
-            )
-        )
-    if w < -1e-12:
-        raise ValueError(
-            f"negative q-Hahn weight {w} for eta={eta}, zeta={zeta}, ell={ell}, j={j}"
-        )
-    return w
-
-
 @dataclass(frozen=True)
 class ParticleConfig:
     """Strictly decreasing particle positions; virtual x_0 = +infinity."""
@@ -244,43 +202,37 @@ def run_mixed(
     p: ModelParams,
     seed: int,
     L: int | None = None,
-    index_shift: int = 0,
 ) -> Trajectory:
     """Evolve the mixed geometric/Bernoulli q-TASEP along `path`.
 
     A T-increment applies the Bernoulli move with beta = -u_{T'}; an
-    N-increment to N' applies the geometric move with alpha =
-    c_{N' + index_shift}. The recorded values are
-    x_{N_t + index_shift}(N_t, T_t) + N_t + index_shift, so index_shift = r-1
-    gives the generalized step-Bernoulli observable.
+    N-increment to N' applies the geometric move with alpha = c_{N'}.  The
+    recorded values are x_{N_t}(N_t, T_t) + N_t.
     """
     rng = stream(seed, 0)
     n_end = max(n for n, _ in path.points)
     if L is None:
-        L = n_end + index_shift
-    if L < n_end + index_shift:
+        L = n_end
+    if L < n_end:
         raise ValueError("L too small for the path")
     c = p.c
     cfg = ParticleConfig.step(L)
     moves = ["start"]
     configs = [cfg]
-    xvals = [cfg.x[index_shift] + 1 + index_shift]
+    xvals = [cfg.x[0] + 1]
     for (n0, t0), (n1, t1) in zip(path.points, path.points[1:]):
         if t1 == t0 + 1:
             beta = -p.u[t1 - 1]
             cfg = bernoulli_move(cfg, p.a, beta, p.q, rng)
             moves.append(f"BER({beta})")
         else:
-            alpha = c[n1 + index_shift - 1]
+            alpha = c[n1 - 1]
             if alpha <= 0.0:
-                raise ValueError(
-                    f"geometric move needs nu_{n1 + index_shift} > 0 (alpha = {alpha})"
-                )
+                raise ValueError(f"geometric move needs nu_{n1} > 0 (alpha = {alpha})")
             cfg = geometric_move(cfg, p.a, alpha, p.q, rng)
             moves.append(f"GEOM({alpha})")
         configs.append(cfg)
-        idx = n1 + index_shift - 1
-        xvals.append(cfg.x[idx] + n1 + index_shift)
+        xvals.append(cfg.x[n1 - 1] + n1)
     return Trajectory(path.points, tuple(moves), tuple(configs), tuple(xvals))
 
 
@@ -389,6 +341,10 @@ def sample_mixed_batch(
 # ---------------------------------------------------------------------------
 # Exact move laws and truncated transition matrices
 
+# cut of the first particle's infinite-support jump law in transition_matrix,
+# and the largest row deficit check_deficit accepts
+TRANSITION_TAIL_TOL = 1e-12
+
 
 def bernoulli_law(cfg_x: tuple, a, beta: float, q: float):
     """Exact law of one Bernoulli move from cfg_x: list of (new_x, prob)."""
@@ -440,18 +396,13 @@ class TransitionMatrix:
     index: dict
     matrix: np.ndarray
     row_deficit: np.ndarray
-    tail_tol: float
-
-    @property
-    def max_deficit(self) -> float:
-        return float(self.row_deficit.max()) if len(self.row_deficit) else 0.0
 
     def check_deficit(self, rows=None):
         rows = range(len(self.states)) if rows is None else rows
         worst = max(float(self.row_deficit[r]) for r in rows)
-        if worst > self.tail_tol:
+        if worst > TRANSITION_TAIL_TOL:
             raise ValueError(
-                f"truncated mass deficit {worst} exceeds tail_tol {self.tail_tol}"
+                f"truncated mass deficit {worst} exceeds {TRANSITION_TAIL_TOL}"
             )
 
 
@@ -470,7 +421,6 @@ def transition_matrix(
     a,
     L: int,
     box,
-    tail_tol: float = 1e-12,
     *,
     alpha: float | None = None,
     beta: float | None = None,
@@ -493,7 +443,7 @@ def transition_matrix(
             law = bernoulli_law(s, a, beta, q)
             deficit = 0.0
         elif move == "GEOM":
-            law, deficit = geometric_law(s, a, alpha, q, tail_tol)
+            law, deficit = geometric_law(s, a, alpha, q, TRANSITION_TAIL_TOL)
         else:
             raise ValueError(f"unknown move {move!r}")
         for target, prob in law:
@@ -503,4 +453,4 @@ def transition_matrix(
             else:
                 mat[r, col] += prob
         row_deficit[r] = deficit
-    return TransitionMatrix(states, index, mat, row_deficit, tail_tol)
+    return TransitionMatrix(states, index, mat, row_deficit)

@@ -10,10 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+
+def _in_range(name: str, v: int) -> int:
+    v = int(v)
+    if not 0 <= v < 1 << 64:
+        raise ValueError(f"{name} {v} is outside [0, 2**64)")
+    return v
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, stream_id)."""
-    key = [int(seed) & _MASK64, int(stream_id) & _MASK64]
+    """Independent generator for (seed, stream_id); ValueError unless both
+    lie in [0, 2**64)."""
+    key = [_in_range("seed", seed), _in_range("stream id", stream_id)]
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def offset_seed(seed: int, k: int) -> int:
+    """Seed of a sub-run derived from `seed`: seed + k wrapped into
+    [0, 2**64); ValueError unless `seed` itself is in range."""
+    return (_in_range("seed", seed) + k) % (1 << 64)

@@ -20,6 +20,7 @@ from scipy.special import airy
 
 from . import qtasep
 from .core import ModelParams
+from .rng import offset_seed
 
 BETA_FACTOR_TOL = 1e-18
 # partitions per stacked Jacobi-Trudi determinant call; bounds the memory of
@@ -100,7 +101,7 @@ def schur_jacobi_trudi(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.where(inside, h[np.clip(k, 0, len(h) - 1)], 0.0))
 
 
-def _schur_weight_chunks(s: SchurSetup, part_cutoff: int, deficit_tol: float):
+def _schur_weight_chunks(s: SchurSetup, part_cutoff: int):
     """Schur-measure weights of the partitions with at most T rows and parts
     <= part_cutoff, as (combos, w) pairs of at most BRUTEFORCE_CHUNK
     partitions of one length each.
@@ -109,7 +110,7 @@ def _schur_weight_chunks(s: SchurSetup, part_cutoff: int, deficit_tol: float):
     of itertools.combinations_with_replacement; combos holds those
     nondecreasing tuples, so a partition is a combo read backwards.  After
     the last chunk the enumerated mass is checked once: ValueError if it
-    misses 1 by more than deficit_tol.
+    misses 1 by more than 1e-10.
     """
     x = -1.0 / s.u
     betas = s.rho_betas()
@@ -127,7 +128,7 @@ def _schur_weight_chunks(s: SchurSetup, part_cutoff: int, deficit_tol: float):
             w = schur_jacobi_trudi(parts, h_x) * schur_jacobi_trudi(parts, h_rho) / pi_s
             total_w = _running_sum(total_w, w)
             yield combos, w
-    if abs(total_w - 1.0) > deficit_tol:
+    if abs(total_w - 1.0) > 1e-10:
         raise ValueError(
             f"partition cutoff too small: enumerated mass {total_w}"
         )
@@ -138,9 +139,7 @@ def _running_sum(start: float, w: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([start], w)))[-1])
 
 
-def schur_bruteforce_expectation(
-    s: SchurSetup, observable, part_cutoff: int = 40, deficit_tol: float = 1e-10
-):
+def schur_bruteforce_expectation(s: SchurSetup, observable, part_cutoff: int = 40):
     """Expectation of observable(lambda) under the Schur measure by direct
     enumeration of partitions with at most T rows and parts <= part_cutoff.
 
@@ -148,10 +147,10 @@ def schur_bruteforce_expectation(
     partitions are enumerated once, in chunks whose Jacobi-Trudi
     determinants are evaluated stacked; the sum runs sequentially in
     enumeration order.  Raises if the enumerated weights miss more than
-    deficit_tol of the mass.
+    1e-10 of the mass.
     """
     total = 0.0
-    for combos, w in _schur_weight_chunks(s, part_cutoff, deficit_tol):
+    for combos, w in _schur_weight_chunks(s, part_cutoff):
         for combo, wv in zip(combos, w.tolist()):
             total += wv * observable(combo[::-1] + (0,) * (s.T - len(combo)))
     return total
@@ -165,7 +164,7 @@ def schur_length_pmf(s: SchurSetup, part_cutoff: int = 40) -> dict:
     in schur_bruteforce_expectation.
     """
     pmf: dict = {k: 0.0 for k in range(s.T + 1)}
-    for combos, w in _schur_weight_chunks(s, part_cutoff, 1e-10):
+    for combos, w in _schur_weight_chunks(s, part_cutoff):
         ell = len(combos[0])
         pmf[ell] = _running_sum(pmf[ell], w)
     return pmf
@@ -175,22 +174,15 @@ def schur_length_pmf(s: SchurSetup, part_cutoff: int = 40) -> dict:
 # Correlation kernel and Fredholm probabilities
 
 
-def _kernel_radii(s: SchurSetup, eta_tau=None):
+def _kernel_radii(s: SchurSetup):
     """Concentric circles around {0, -1/u} excluding -1 and -a1 q^{-m}.
 
     The center sits as close to zero as the constraints allow, which keeps
     |w| nearly constant along the contour and controls the dynamic range of
-    the w^j factor at very negative j.  When (eta, tau) scaling data is
-    supplied and the regime is curved, the circles are pushed out to pass
-    near the double critical point instead.
+    the w^j factor at very negative j.
     """
     m = -1.0 / s.u
     c = max(0.1 * m, 0.5 * (m - 1.0) + 0.05)
-    if eta_tau is not None:
-        eta, tau = eta_tau
-        cd = critical_point(eta, tau, s.u)
-        if cd.regime == "CURVED":
-            c = max(c, 0.5 * (m + abs(cd.v_c)) + 0.05)
     lo = max(c, m - c)  # must contain 0 and m
     hi = min(1.0 + c, s.a1 + c)  # must exclude -1 and -a1
     if lo >= hi:
@@ -200,16 +192,11 @@ def _kernel_radii(s: SchurSetup, eta_tau=None):
     return c, rho_w, rho_v
 
 
-def schur_kernel_matrix(
-    s: SchurSetup,
-    indices,
-    n_nodes: int = 512,
-    eta_tau=None,
-) -> np.ndarray:
+def schur_kernel_matrix(s: SchurSetup, indices, n_nodes: int = 512) -> np.ndarray:
     """Correlation kernel K(i, j) of {lambda_k - k} on the given index list,
     by tensor trapezoid quadrature of the double contour integral."""
     idx = np.asarray(list(indices), dtype=np.int64)
-    c, rho_w, rho_v = _kernel_radii(s, eta_tau)
+    c, rho_w, rho_v = _kernel_radii(s)
     n = int(n_nodes)
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     zv = c + rho_v * np.exp(1j * theta)
@@ -244,47 +231,26 @@ def schur_kernel_matrix(
     return K.real
 
 
-def schur_kernel(i: int, j: int, s: SchurSetup, n_nodes: int = 512):
-    """Single kernel entry K(i,j) and its complement K~(i,j) = 1_{i=j} - K."""
-    K = schur_kernel_matrix(s, sorted({i, j}, reverse=True), n_nodes)
-    pos = {v: r for r, v in enumerate(sorted({i, j}, reverse=True))}
-    kij = float(K[pos[i], pos[j]])
-    return kij, (1.0 if i == j else 0.0) - kij
-
-
-def prob_length_exceeds(
-    x: int,
-    s: SchurSetup,
-    cutoff: int = 30,
-    n_nodes: int = 512,
-    eta_tau=None,
-    tail_tol: float = 1e-10,
-) -> float:
+def prob_length_exceeds(x: int, s: SchurSetup, cutoff: int = 30) -> float:
     """P(-ell(lambda) > x) as the finite determinant det[K(i,j)] over
     {x, x-1, ..., x-cutoff}; sites far below -T are fully occupied so the
     truncated determinant converges, which is checked via the last diagonal
-    entry."""
+    entry (within 1e-10 of 1)."""
     if x >= 0:
         return 0.0
     idx = list(range(x, x - cutoff - 1, -1))
-    K = schur_kernel_matrix(s, idx, n_nodes, eta_tau)
-    if abs(K[-1, -1] - 1.0) > tail_tol:
+    K = schur_kernel_matrix(s, idx)
+    if abs(K[-1, -1] - 1.0) > 1e-10:
         raise ValueError(
             f"cutoff {cutoff} too small: trailing diagonal {K[-1, -1]}"
         )
     return float(np.linalg.det(K))
 
 
-def fredholm_length_cdf(
-    s: SchurSetup, k_values, cutoff: int = 30, n_nodes: int = 512, eta_tau=None
-) -> dict:
+def fredholm_length_cdf(s: SchurSetup, k_values, cutoff: int = 30) -> dict:
     """P(ell(lambda) <= k) = P(-ell > -k-1) for each requested k."""
     return {
-        k: (
-            1.0
-            if k >= s.T
-            else prob_length_exceeds(-k - 1, s, cutoff, n_nodes, eta_tau)
-        )
+        k: 1.0 if k >= s.T else prob_length_exceeds(-k - 1, s, cutoff)
         for k in k_values
     }
 
@@ -386,12 +352,12 @@ def _legendre_nodes(n_nodes: int):
     return t, w
 
 
-def tracy_widom_cdf(r: float, n_nodes: int = 48, scale: float = 2.0) -> float:
+def tracy_widom_cdf(r: float, n_nodes: int = 48) -> float:
     """F_GUE(r) = det(1 - K_Airy) on L^2(r, inf), by Gauss-Legendre
-    quadrature mapped onto the half-line."""
+    quadrature mapped onto the half-line by x = r + 2(1+t)/(1-t)."""
     t, w = _legendre_nodes(int(n_nodes))
-    x = r + scale * (1.0 + t) / (1.0 - t)
-    dx = 2.0 * scale / (1.0 - t) ** 2
+    x = r + 2.0 * (1.0 + t) / (1.0 - t)
+    dx = 4.0 / (1.0 - t) ** 2
     sq = np.sqrt(w * dx)
     M = sq[:, None] * airy_kernel(x, x) * sq[None, :]
     return float(np.linalg.det(np.eye(len(x)) - M))
@@ -522,7 +488,7 @@ def asymptotics_experiment(
     samples = {}
     for k, M in enumerate(m_list):
         N, T = int(eta * M), int(tau * M)
-        samples[M] = _special_positions(q, u, a1, N, T, replicas, seed + k)
+        samples[M] = _special_positions(q, u, a1, N, T, replicas, offset_seed(seed, k))
     m_top = max(m_list)
     xs = samples[m_top]
     mean_err = abs(xs.mean() / m_top - x_th)

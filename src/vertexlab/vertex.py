@@ -106,10 +106,14 @@ class HeightField:
     n_max: int
     t_max: int
     values: np.ndarray
-    boundary: Boundary = STEP
     exit_bound: float = 0.0
 
     def h(self, N: int, T: int) -> int:
+        if not (1 <= N <= self.n_max + 1 and 0 <= T <= self.t_max):
+            raise ValueError(
+                f"h({N}, {T}) is outside the window 1 <= N <= {self.n_max + 1}, "
+                f"0 <= T <= {self.t_max}"
+            )
         return int(self.values[T, N - 1])
 
     def to_csv(self) -> str:
@@ -177,11 +181,7 @@ def sample_quadrant(
             suffix += m[N - 1]
             values[T, N - 1] = suffix + exited
     return HeightField(
-        n_max,
-        t_max,
-        values,
-        boundary,
-        exit_bound=_horizontal_exit_bound(p, n_max, t_max),
+        n_max, t_max, values, exit_bound=_horizontal_exit_bound(p, n_max, t_max)
     )
 
 

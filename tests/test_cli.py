@@ -164,3 +164,27 @@ def test_verify_subset(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "PASS formal-identity" in captured.out
     assert (tmp_path / "v" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["sample-vertex", "--window", "3,2"], "--config"),
+     (["sample-qtasep"], "--config"),
+     (["sample-vertex", "--boundary", "nope"], "--boundary")],
+)
+def test_usage_errors_name_the_flag(argv, flag, config, capsys):
+    if flag != "--config":
+        argv = argv + ["--config", config]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
+def test_verify_rejects_bad_seed_and_budget_scale(capsys, monkeypatch):
+    assert main(["verify", "default", "--budget-scale", "0"]) == 2
+    assert "budget_scale" in capsys.readouterr().err
+    assert main(["verify", "default", "--seed", "-1"]) == 2
+    assert "-1" in capsys.readouterr().err
+    monkeypatch.setenv("VERTEXLAB_SEED", "-1")
+    assert main(["verify", "default"]) == 2
+    assert "-1" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from vertexlab.harness import (
     run_suite,
 )
 from vertexlab.core import validate_params
-from vertexlab.rng import stream
+from vertexlab.rng import offset_seed, stream
 
 
 def test_chi2_gof_calibration():
@@ -154,3 +154,36 @@ def test_monte_carlo_checks_fail_without_evidence(check_id, budget):
     result = harness.CHECKS[check_id](seed=0, budget=budget)
     assert not result.passed
     assert result.details["no_evidence"]
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_run_suite_rejects_nonpositive_budget_scale(scale, tmp_path):
+    with pytest.raises(ValueError, match="budget_scale"):
+        run_suite(["formal-identity"], budget_scale=scale)
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": ["formal-identity"], "budget_scale": scale}))
+    with pytest.raises(ValueError, match="budget_scale"):
+        run_suite(str(spec))
+
+
+def test_stream_rejects_out_of_range_keys():
+    top = 2**64 - 1
+    assert stream(top, top).random() == stream(top, top).random()
+    for seed, stream_id, message in [
+        (-1, 0, "seed -1 "), (2**64, 0, f"seed {2**64} "),
+        (0, -1, "stream id -1 "), (0, 2**64, f"stream id {2**64} "),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            stream(seed, stream_id)
+
+
+def test_derived_seeds_wrap_at_top_of_range():
+    top = 2**64 - 1
+    assert offset_seed(top, 11) == 10
+    with pytest.raises(ValueError, match="seed -1 "):
+        offset_seed(-1, 11)
+    for cid in ("distribution-equality", "schur-matching"):
+        _, (res,) = run_suite([cid], seed=top, budget_scale=1e-6)
+        assert res.check_id == cid
+        with pytest.raises(ValueError, match="seed -1 "):
+            run_suite([cid], seed=-1, budget_scale=1e-6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vertexlab import moments
 from vertexlab.core import INFINITY, ModelParams, Specialization, q_pochhammer
 from vertexlab.diffops import operator_expectation
 from vertexlab.moments import (
@@ -116,10 +117,15 @@ def test_contour_infeasibility():
         build_nested_a_contours((1.2, 0.8), [0.8 / 0.95], 0.5, 2)
 
 
-def test_quadrature_doubling_guard():
+def test_quadrature_doubling_guard(monkeypatch):
     p = _params()
     with pytest.raises(QuadratureError):
         moment_product_quadrature((2, 1), 2, p, n=8, doubling_tol=1e-14)
+    # the q-Whittaker quadrature runs the same guard at QUAD_NODES[ell] nodes
+    monkeypatch.setitem(moments.QUAD_NODES, 1, 8)
+    rho = Specialization(alphas=(0.25,))
+    with pytest.raises(QuadratureError, match="grid doubling"):
+        moment_qwhittaker(1, 1, rho, (1.0,), 0.5)
 
 
 def test_qwhittaker_matching_theorem():

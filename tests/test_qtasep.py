@@ -17,7 +17,6 @@ from vertexlab.qtasep import (
     geometric_move,
     q_geom_law,
     q_geom_pmf,
-    q_hahn_pmf,
     run_mixed,
     sample_mixed_batch,
     transition_matrix,
@@ -48,20 +47,6 @@ def test_q_geom_infinite_law_normalizes():
     pairs, deficit = q_geom_law(INFINITY, 0.45, 0.5)
     assert deficit <= 1e-14
     assert abs(sum(w for _, w in pairs) + deficit - 1.0) < 1e-13
-
-
-def test_q_hahn_examples():
-    q = 0.5
-    # zeta = 0 reduces to the q-geometric law
-    for j in range(4):
-        assert abs(q_hahn_pmf(0.24, 0.0, q, 3, j) - q_geom_pmf(3, 0.24, q, j)) < 1e-14
-    assert q_hahn_pmf(0.3, 0.1, q, 0, 0) == 1.0
-    total = sum(q_hahn_pmf(0.3, 0.1, q, 3, j) for j in range(4))
-    assert abs(total - 1.0) < 1e-12
-    total_inf = sum(q_hahn_pmf(0.3, 0.1, q, INFINITY, j) for j in range(200))
-    assert abs(total_inf - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        q_hahn_pmf(0.0, 0.1, q, 3, 1)
 
 
 def test_particle_config():
@@ -172,7 +157,7 @@ def test_transition_matrix_row_sums():
     for r, s in enumerate(B.states):
         if s[0] < 5:
             assert abs(B.matrix[r].sum() - 1.0) < 1e-14
-    G = transition_matrix("GEOM", a, 2, (-5, 5), alpha=0.3, q=0.5, tail_tol=1e-12)
+    G = transition_matrix("GEOM", a, 2, (-5, 5), alpha=0.3, q=0.5)
     for r in range(len(G.states)):
         assert G.matrix[r].sum() <= 1.0 + 1e-12
         assert abs(G.matrix[r].sum() + G.row_deficit[r] - 1.0) < 1e-11

@@ -20,7 +20,6 @@ from vertexlab.schur import (
     prob_length_exceeds,
     schur_bruteforce_expectation,
     schur_jacobi_trudi,
-    schur_kernel,
     schur_kernel_matrix,
     schur_length_pmf,
     sigma_from_g,
@@ -141,8 +140,6 @@ def test_kernel_real_and_grid_stable():
     K1 = schur_kernel_matrix(s, idx, 256)
     K2 = schur_kernel_matrix(s, idx, 512)
     assert np.abs(K1 - K2).max() <= 1e-10
-    kij, ktij = schur_kernel(0, 0, s)
-    assert abs(kij + ktij - 1.0) < 1e-14
 
 
 def test_kernel_diagonal_counts():

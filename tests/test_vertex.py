@@ -243,3 +243,11 @@ def test_batch_heights_do_not_wrap_past_int16():
     h = sample_quadrant_batch(p, STEP, (1, t_max), 2, seed=0)
     assert (np.diff(h, axis=1) >= 0).all()
     assert h[:, -1, 0].min() > 2**15
+
+
+def test_height_field_rejects_indices_outside_window():
+    hf = sample_quadrant(_params(), STEP, (3, 2), seed=1)
+    assert hf.h(4, 2) == hf.values[2, 3] and hf.h(1, 0) == 0
+    for N, T in [(0, 2), (5, 0), (1, -1), (1, 3)]:
+        with pytest.raises(ValueError, match="outside the window"):
+            hf.h(N, T)
