@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: sample-vertex, sample-qtasep, couple-check, moments,
-diffops-check, schur, asymptotics, verify.  The environment variable
+diffops-check, schur, asymptotics, verify.  Each takes only the flags it
+reads, so an unread flag is a usage error.  The environment variable
 VERTEXLAB_SEED overrides --seed.  Exit codes: 0 pass, 1 check failure,
 2 usage error.
 """
@@ -48,7 +49,10 @@ def _parse_boundary(spec: str) -> vertex.Boundary:
     if spec == "step-bernoulli":
         return vertex.STEP_BERNOULLI
     if spec.startswith("gen-step-bernoulli:"):
-        return vertex.gen_step_bernoulli(int(spec.split(":")[1]))
+        try:
+            return vertex.gen_step_bernoulli(int(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ValueError(f"--boundary {spec!r}: {exc}") from None
     raise ValueError(
         f"unknown --boundary {spec!r}: use step, step-bernoulli or "
         "gen-step-bernoulli:R"
@@ -129,11 +133,7 @@ def cmd_asymptotics(args) -> int:
         args.q, args.u, args.a1, args.eta, args.tau, m_list, args.replicas, _seed(args)
     )
     _emit(args, "asymptotics.csv", rep.to_csv())
-    summary = json.dumps(
-        {k: (float(v) if hasattr(v, "item") else v) for k, v in rep.summary().items()},
-        indent=2,
-    )
-    _emit(args, "asymptotics_summary.json", summary + "\n")
+    _emit(args, "asymptotics_summary.json", json.dumps(rep.summary(), indent=2) + "\n")
     return 0
 
 
@@ -157,31 +157,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON parameter config")
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, config: bool, seed: bool):
+        if config:
+            sp.add_argument("--config", help="JSON parameter config")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output directory")
 
     sp = sub.add_parser("sample-vertex", help="sample the quadrant model")
-    common(sp)
+    common(sp, config=True, seed=True)
     sp.add_argument("--window", default="8,4", help="N_max,T_max")
     sp.add_argument("--boundary", default="step")
     sp.set_defaults(fn=cmd_sample_vertex)
 
     sp = sub.add_parser("sample-qtasep", help="run a mixed q-TASEP trajectory")
-    common(sp)
+    common(sp, config=True, seed=True)
     sp.add_argument("--path", default="TNT", help="time-like path moves, e.g. NTNT")
     sp.add_argument("--particles", type=int, default=None)
     sp.set_defaults(fn=cmd_sample_qtasep)
 
     sp = sub.add_parser("couple-check", help="exact coupling theorem check")
-    common(sp)
+    common(sp, config=True, seed=False)
     sp.add_argument("--path", default="TNT")
     sp.add_argument("--order", type=int, default=1)
     sp.set_defaults(fn=cmd_couple_check)
 
     sp = sub.add_parser("moments", help="evaluate moment formulas")
-    common(sp)
+    common(sp, config=True, seed=False)
     sp.add_argument("--n-list", default="1", help="comma-separated N values")
     sp.add_argument("--T", type=int, default=1)
     sp.add_argument("--route", choices=("residues", "quadrature", "operator", "all"),
@@ -189,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_moments)
 
     sp = sub.add_parser("diffops-check", help="difference-operator lemma check")
-    common(sp)
+    common(sp, config=False, seed=True)
     sp.set_defaults(fn=cmd_diffops_check)
 
     sp = sub.add_parser("schur", help="Schur measure computations")
-    common(sp)
+    common(sp, config=False, seed=False)
     sp.add_argument("--mode", default="length-pmf",
                     choices=("length-pmf", "fredholm", "tracy-widom"))
     sp.add_argument("--q", type=float, default=0.5)
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_schur)
 
     sp = sub.add_parser("asymptotics", help="law of large numbers / fluctuations")
-    common(sp)
+    common(sp, config=False, seed=True)
     sp.add_argument("--q", type=float, default=0.5)
     sp.add_argument("--u", type=float, default=-1.0)
     sp.add_argument("--a1", type=float, default=1.0)
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_asymptotics)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
+    common(sp, config=False, seed=True)
     sp.add_argument("suite", help="'default', 'full', or a JSON suite file")
     sp.add_argument("--budget-scale", type=float, default=1.0)
     sp.set_defaults(fn=cmd_verify)

@@ -152,24 +152,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts}")
 
-    def ell(self) -> int:
-        """Number of strictly positive parts."""
-        return sum(1 for p in self.parts if p > 0)
-
-    def multiplicities(self) -> dict:
-        """Multiplicative notation (1^{k_1} 2^{k_2} ...) as {value: k}."""
-        mult: dict = {}
-        for p in self.parts:
-            if p > 0:
-                mult[p] = mult.get(p, 0) + 1
-        return mult
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -206,6 +188,16 @@ class ModelParams:
         return tuple(n / a for n, a in zip(self.nu, self.a))
 
 
+def check_window(p: ModelParams, n_cols: int, n_rows: int):
+    """ValueError unless p has parameters for columns 1..n_cols and rows
+    1..n_rows."""
+    if n_cols > len(p.a) or n_rows > len(p.u):
+        raise ValueError(
+            f"window exceeds available parameters: needs {n_cols} columns and "
+            f"{n_rows} rows, has {len(p.a)} and {len(p.u)}"
+        )
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     basic_ok: bool
@@ -223,8 +215,7 @@ def validate_params(p: ModelParams, window: tuple, eps: float = 1e-6) -> Validit
     nested_ok: min a > q * max a over the window.
     """
     n_max, t_max = window
-    if n_max > len(p.a) or t_max > len(p.u):
-        raise ValueError("window exceeds available parameters")
+    check_window(p, n_max, t_max)
     a = p.a[:n_max]
     nu = p.nu[:n_max]
     u = p.u[:t_max]

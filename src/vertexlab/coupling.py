@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import INFINITY, ModelParams, params_digest
+from .core import INFINITY, ModelParams, check_window, params_digest
 from .qtasep import TimeLikePath, bernoulli_law, geometric_law, q_geom_law
 from .vertex import Boundary, vertex_weight_row
 
@@ -63,17 +63,6 @@ def y_dagger_law(inp: CouplingInputs, q: float) -> dict:
     for o in outcomes:
         law[inp.xp_m + o.j2] = law.get(inp.xp_m + o.j2, 0.0) + o.weight
     return law
-
-
-def sample_y_dagger(inp: CouplingInputs, q: float, rng) -> int:
-    law = sorted(y_dagger_law(inp, q).items())
-    draw = rng.random()
-    acc = 0.0
-    for val, w in law:
-        acc += w
-        if draw < acc:
-            return val
-    return law[-1][0]
 
 
 @dataclass
@@ -165,21 +154,12 @@ def joint_law_check_prop_B(
     # GB route: independent geometric jumps of particles 1..m, then a
     # Bernoulli move on the jumped configuration down to particle m.
     composed: dict = {}
-
-    def geom_prefix(i, xs, prob):
-        nonlocal deficit
-        if i == m:
-            for y, pb in _jumps_first(bernoulli_law(xs, a, beta, q)):
-                key = (xs[m - 1], y[m - 1])
-                composed[key] = composed.get(key, 0.0) + prob * pb
-            return
-        gap = INFINITY if i == 0 else x[i - 1] - x[i] - 1
-        pairs, d2 = q_geom_law(gap, a[i] * alpha, q, TAIL_CUT)
-        deficit += prob * d2
-        for j, pg in pairs:
-            geom_prefix(i + 1, xs + (x[i] + j,), prob * pg)
-
-    geom_prefix(0, (), 1.0)
+    jumped, d2 = geometric_law(tuple(x[:m]), a, alpha, q, TAIL_CUT)
+    deficit += d2
+    for xs, pg in jumped:
+        for y, pb in _jumps_first(bernoulli_law(xs, a, beta, q)):
+            key = (xs[m - 1], y[m - 1])
+            composed[key] = composed.get(key, 0.0) + pg * pb
     tv = _tv(dagger, composed)
     return CouplingReport(
         f"prop_B(m={m})", "", tv, deficit, tv + deficit <= TV_TOL
@@ -217,8 +197,6 @@ def _vertex_joint_law(path: TimeLikePath, p: ModelParams, r: int) -> dict:
     """Exact joint law of h(N_t + r, T_t) along the path, by DP over row
     states in a window wide enough that exits are tracked, not truncated."""
     n_win = max(n for n, _ in path.points) + r
-    if n_win > len(p.a):
-        raise ValueError("path needs more columns than available")
 
     def observe(state, n):
         m, exited = state
@@ -281,6 +259,7 @@ def theorem_coupling_check(
     """TV distance between the exact joint law of the height values
     h(N_t + r, T_t) along the path (step-Bernoulli of order r) and the exact
     joint law of the shifted mixed q-TASEP particles X(P)."""
+    check_window(p, max(n for n, _ in path.points) + r, max(t for _, t in path.points))
     Boundary(r).validate(p)
     vertex_law = _vertex_joint_law(path, p, r)
     tasep_law, deficit = _tasep_joint_law(path, p, r)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import INFINITY, ModelParams, q_pochhammer
+from .core import INFINITY, ModelParams, check_window, q_pochhammer
 from .moments import _check_product_args
 
 A_COLLISION_REL_TOL = 1e-9
@@ -116,8 +116,7 @@ def operator_expectation(N_list, T: int, M: int, p: ModelParams) -> float:
     N_list = _check_product_args(N_list, T, p)
     if M < N_list[0]:
         raise ValueError(f"M = {M} must be >= N_1 = {N_list[0]}")
-    if M > len(p.a):
-        raise ValueError("window exceeds available parameters")
+    check_window(p, M, T)
     u = p.u[:T]
     memo: dict = {}
 

@@ -71,10 +71,12 @@ class CheckResult:
 # itself in details["no_evidence"].
 
 
-def _z_score(mean: float, se: float, exact: float, details: dict, key: str) -> float:
-    """|mean - exact| / se, recorded in details[key] to three decimals.  A
-    zero or NaN standard error counts as an infinite deviation unless
-    mean == exact."""
+def _z_score(samples: np.ndarray, exact: float, details: dict, key: str) -> float:
+    """|mean - exact| / se of the samples' mean, recorded in details[key] to
+    three decimals.  A zero or NaN standard error counts as an infinite
+    deviation unless mean == exact."""
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
     if se > 0:
         dev = abs(mean - exact) / se
     else:
@@ -144,11 +146,12 @@ CHECKS: dict = {}
 def check(check_id: str, tolerance: float, budget: int | None):
     """Register the decorated body as check `check_id` in CHECKS.
 
-    The body takes (seed, budget) and returns (passed, statistic[, details]).
-    The registered function is called as (seed=0, budget=<default>); it times
-    the body and returns a CheckResult.  Its `default_budget` attribute is
-    the budget run_suite scales.  A fixed-size check registers budget=None:
-    its body takes (seed) alone, and an explicit budget raises ValueError."""
+    The body takes (seed, budget, tolerance), gates on that tolerance and
+    returns (passed, statistic[, details]).  The registered function is
+    called as (seed=0, budget=<default>); it times the body and returns a
+    CheckResult.  Its `default_budget` attribute is the budget run_suite
+    scales.  A fixed-size check registers budget=None: its body takes
+    (seed, tolerance), and an explicit budget raises ValueError."""
 
     def register(body):
         @functools.wraps(body)
@@ -156,7 +159,7 @@ def check(check_id: str, tolerance: float, budget: int | None):
             if run.default_budget is None and budget is not None:
                 raise ValueError(f"check {check_id!r} has a fixed size: no budget")
             t0 = time.time()
-            args = (seed,) if budget is None else (seed, budget)
+            args = (seed, tolerance) if budget is None else (seed, budget, tolerance)
             passed, statistic, *details = body(*args)
             return CheckResult(
                 check_id, passed, statistic, tolerance, time.time() - t0, *details
@@ -173,7 +176,7 @@ def check(check_id: str, tolerance: float, budget: int | None):
 
 
 @check("stochasticity", 1e-12, budget=1000)
-def check_stochasticity(seed, budget):
+def check_stochasticity(seed, budget, tol):
     """Vertex outcome weights sum to one for random admissible parameters."""
     rng = stream(seed, 1)
     worst = 0.0
@@ -186,11 +189,11 @@ def check_stochasticity(seed, budget):
         for j1 in (0, 1):
             outs = vertex.vertex_weight_row(u, a, nu, g, j1, q)
             worst = max(worst, abs(sum(o.weight for o in outs) - 1.0))
-    return worst <= 1e-12, worst
+    return worst <= tol, worst
 
 
 @check("sum-to-one", 1e-10, budget=10)
-def check_sum_to_one(seed, budget):
+def check_sum_to_one(seed, budget, tol):
     """Finite sum of symmetrization weights with a zero column equals one."""
     rng = stream(seed, 2)
     worst = 0.0
@@ -200,11 +203,11 @@ def check_sum_to_one(seed, budget):
             for N in range(1, 5):
                 s = vertex.sum_f_stoch_truncated(p, T, N)
                 worst = max(worst, abs(s - 1.0))
-    return worst <= 1e-10, worst
+    return worst <= tol, worst
 
 
 @check("sampler-pmf", 1e-4, budget=10**6)
-def check_sampler_pmf(seed, budget):
+def check_sampler_pmf(seed, budget, tol):
     """Empirical row-partition pmf against the symmetrization formula."""
     rng = stream(seed, 3)
     p = draw_params(rng, 40, 3)
@@ -219,38 +222,25 @@ def check_sampler_pmf(seed, budget):
             parts: vertex.f_stoch(parts, p, T)
             for parts in vertex.row_partitions(T, key_max)
         }
-        # encode each sample's partition as a base-(T+1) signature of the
-        # per-column multiplicities; samples with any part beyond key_max
+        # code each sample's partition by its per-column multiplicities in
+        # base T+1; samples with any part beyond key_max get code -1 and
         # fall into the pooled tail cell (matched by the oracle's deficit)
-        base = T + 1
-        sig = np.zeros(budget, dtype=np.int64)
-        overflow = np.zeros(budget, dtype=bool)
-        for col in range(n_win):
-            cnt = m[:, col]
-            if col < key_max:
-                sig = sig * base + cnt
-            else:
-                overflow |= cnt > 0
-        vals, cts = np.unique(sig[~overflow], return_counts=True)
-        lookup = dict(zip(vals.tolist(), cts.tolist()))
-        counts = {}
-        for parts in enumerated:
-            mult = {}
-            for xv in parts:
-                mult[xv] = mult.get(xv, 0) + 1
-            code = 0
-            for col in range(key_max):
-                code = code * base + mult.get(col + 1, 0)
-            counts[parts] = lookup.get(code, 0)
+        weight = (T + 1) ** np.arange(key_max)
+        code = np.where(m[:, key_max:].any(axis=1), -1, m[:, :key_max] @ weight)
+        lookup = dict(zip(*(v.tolist() for v in np.unique(code, return_counts=True))))
+        counts = {
+            parts: lookup.get(int(sum(weight[x - 1] for x in parts)), 0)
+            for parts in enumerated
+        }
         counts["__tail__"] = budget - sum(counts.values())
         chi2, pval = chi2_gof(counts, enumerated)
         details[f"T={T}"] = {"chi2": chi2, "p": pval}
         worst_p = _min_p(worst_p, pval, details, f"T={T}")
-    return worst_p > 1e-4, worst_p, details
+    return worst_p > tol, worst_p, details
 
 
 @check("operator-lemma", 1e-9, budget=20)
-def check_operator_lemma(seed, budget):
+def check_operator_lemma(seed, budget, tol):
     """Action of the conjugated operator on the truncated weight sums."""
     rng = stream(seed, 4)
     worst = 0.0
@@ -286,11 +276,11 @@ def check_operator_lemma(seed, budget):
                 w *= p.q**h - p.q ** (T + 2 - j) * math.prod(p.nu[:Nj])
             rhs2 += w
         worst = max(worst, abs(lhs2 - rhs2) / max(abs(rhs2), 1e-30))
-    return worst <= 1e-9, worst
+    return worst <= tol, worst
 
 
 @check("route-triangle", 1e-9, budget=1)
-def check_route_triangle(seed, budget):
+def check_route_triangle(seed, budget, tol):
     """Operator, quadrature, and residue evaluations of the moment formulas
     agree pairwise."""
     rng = stream(seed, 5)
@@ -317,11 +307,11 @@ def check_route_triangle(seed, budget):
                     )
                 )
                 worst = max(worst, abs(hres - hrec))
-    return worst <= 1e-9, worst
+    return worst <= tol, worst
 
 
 @check("moment-closure", 4.0, budget=10**6)
-def check_moment_closure(seed, budget):
+def check_moment_closure(seed, budget, tol):
     """Residue-route joint q-moments against big Monte Carlo."""
     rng = stream(seed, 6)
     p = draw_params(rng, 10, 4)
@@ -335,16 +325,14 @@ def check_moment_closure(seed, budget):
             obs = np.ones(budget)
             for N in N_list:
                 obs = obs * p.q ** heights[:, T, N].astype(float)
-            mean = float(obs.mean())
-            se = float(obs.std(ddof=1) / math.sqrt(budget))
             exact = moments.moment_height_residues(N_list, T, p)
-            dev = _z_score(mean, se, exact, details, f"T={T},N={N_list}")
+            dev = _z_score(obs, exact, details, f"T={T},N={N_list}")
             worst_dev = max(worst_dev, dev)
-    return worst_dev <= 4.0, worst_dev, details
+    return worst_dev <= tol, worst_dev, details
 
 
 @check("formal-identity", 1e-12, budget=100)
-def check_formal_identity(seed, budget):
+def check_formal_identity(seed, budget, tol):
     rng = stream(seed, 7)
     worst = 0.0
     for _ in range(budget):
@@ -353,11 +341,11 @@ def check_formal_identity(seed, budget):
         b = rng.uniform(-2, 2, ell)
         q = rng.uniform(0.05, 0.95)
         worst = max(worst, moments.formal_identity_check(ell, X, b, q))
-    return worst <= 1e-12, worst
+    return worst <= tol, worst
 
 
 @check("qwhittaker-n1", 1e-8, budget=None)
-def check_qwhittaker_n1(seed):
+def check_qwhittaker_n1(seed, tol):
     """Nested-integral q-Whittaker moments against the series oracle, N=1."""
     rng = stream(seed, 8)
     worst = 0.0
@@ -376,11 +364,11 @@ def check_qwhittaker_n1(seed):
             quad = moments.moment_qwhittaker(k, 1, rho, (a1,), q, method="quadrature")
             res = moments.moment_qwhittaker(k, 1, rho, (a1,), q, method="residues")
             worst = max(worst, abs(oracle - quad), abs(oracle - res))
-    return worst <= 1e-8, worst
+    return worst <= tol, worst
 
 
 @check("commutation", 1e-10, budget=None)
-def check_commutation(seed):
+def check_commutation(seed, tol):
     """Truncated transition matrices commute entrywise."""
     rng = stream(seed, 9)
     worst = 0.0
@@ -398,11 +386,11 @@ def check_commutation(seed):
         worst = max(worst, float(np.abs(bg - gb).max()))
         gg = G1.matrix @ G2.matrix - G2.matrix @ G1.matrix
         worst = max(worst, float(np.abs(gg).max()))
-    return worst <= 1e-10, worst
+    return worst <= tol, worst
 
 
 @check("local-coupling", 1e-8, budget=50)
-def check_local_coupling(seed, budget):
+def check_local_coupling(seed, budget, tol):
     """Enumeration TV for the two local coupling propositions."""
     rng = stream(seed, 10)
     worst = 0.0
@@ -422,7 +410,7 @@ def check_local_coupling(seed, budget):
         rb = coupling.joint_law_check_prop_B(tuple(x), m, a, alpha, beta, q)
         worst = max(worst, ra.tv_distance + ra.truncation_deficit,
                     rb.tv_distance + rb.truncation_deficit)
-    return worst <= 1e-8, worst
+    return worst <= tol, worst
 
 
 def _all_paths(n_steps: int):
@@ -431,7 +419,7 @@ def _all_paths(n_steps: int):
 
 
 @check("coupling-theorem", 1e-8, budget=10)
-def check_coupling_theorem(seed, budget):
+def check_coupling_theorem(seed, budget, tol):
     """Double-DP TV for the time-like-path theorem, all short paths plus
     random longer ones and one generalized step-Bernoulli instance."""
     rng = stream(seed, 11)
@@ -455,11 +443,11 @@ def check_coupling_theorem(seed, budget):
     )
     worst = max(worst, rep.tv_distance + rep.truncation_deficit)
     details["gen-r2"] = rep.tv_distance
-    return worst <= 1e-8, worst, details
+    return worst <= tol, worst, details
 
 
 @check("distribution-equality", 1e-4, budget=10**6)
-def check_distribution_equality(seed, budget):
+def check_distribution_equality(seed, budget, tol):
     """Two-sample chi-square between h^Ber(N+1,T) and x_N(N,T)+N."""
     rng = stream(seed, 12)
     p = draw_params(rng, 6, 4, bernoulli=True)
@@ -479,11 +467,11 @@ def check_distribution_equality(seed, budget):
         _, pval = chi2_two_sample(c1, c2)
         details[f"N={N},T={T}"] = round(pval, 6)
         worst_p = _min_p(worst_p, pval, details, f"N={N},T={T}")
-    return worst_p > 1e-4, worst_p, details
+    return worst_p > tol, worst_p, details
 
 
 @check("schur-matching", 4.0, budget=10**6)
-def check_schur_matching(seed, budget):
+def check_schur_matching(seed, budget, tol):
     """Vertex Monte Carlo of the infinite-product observable vs brute-force
     Schur expectation, special parameters nu_i = q."""
     worst_dev = 0.0
@@ -506,8 +494,6 @@ def check_schur_matching(seed, budget):
                 for h in set(hv.tolist())
             }
             vals = np.array([table[h] for h in hv.tolist()])
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(budget))
 
             # product over all j >= 0: the lambda-dependent numerators stop
             # at j = T-1 but the (1 + zeta q^j) denominators continue
@@ -520,13 +506,13 @@ def check_schur_matching(seed, budget):
                 return out
 
             exact = schur.schur_bruteforce_expectation(s, rhs_obs, part_cutoff=38)
-            dev = _z_score(mean, se, exact, details, f"N={N},T={T},zeta={zeta}")
+            dev = _z_score(vals, exact, details, f"N={N},T={T},zeta={zeta}")
             worst_dev = max(worst_dev, dev)
-    return worst_dev <= 4.0, worst_dev, details
+    return worst_dev <= tol, worst_dev, details
 
 
 @check("fredholm-bruteforce", 1e-6, budget=None)
-def check_fredholm_bruteforce(seed):
+def check_fredholm_bruteforce(seed, tol):
     """Fredholm determinant length law against partition enumeration."""
     worst = 0.0
     cases = [(N, T, -2.0) for N in (1, 2, 3) for T in (1, 2, 3)]
@@ -539,19 +525,19 @@ def check_fredholm_bruteforce(seed):
         for k in range(T + 1):
             acc += pmf[k]
             worst = max(worst, abs(cdf[k] - acc))
-    return worst <= 1e-6, worst
+    return worst <= tol, worst
 
 
 @check("lln", 0.05, budget=200)
-def check_lln(seed, budget):
+def check_lln(seed, budget, tol):
     """Law of large numbers at u=-1, eta=1, tau=2, M=400."""
     rep = schur.asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, [400], budget, seed)
     err = rep.mean_err
-    return err <= 0.05, err, {"X_theory": rep.x_theory}
+    return err <= tol, err, {"X_theory": rep.x_theory}
 
 
 @check("tracy-widom", 0.15, budget=500)
-def check_tracy_widom(seed, budget):
+def check_tracy_widom(seed, budget, tol):
     """Tracy-Widom surrogate at M=2000 plus distribution-function sanity."""
     grid = np.linspace(-8, 5, 100)
     F = [schur.tracy_widom_cdf(r) for r in grid]
@@ -560,7 +546,7 @@ def check_tracy_widom(seed, budget):
     stab = abs(schur.tracy_widom_cdf(-1.0, 48) - schur.tracy_widom_cdf(-1.0, 96))
     rep = schur.asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, [2000], budget, seed)
     ks = rep.ks_stat
-    passed = mono and tails and stab <= 1e-8 and ks <= 0.15
+    passed = mono and tails and stab <= 1e-8 and ks <= tol
     return passed, ks, {"monotone": mono, "tails": tails, "quad_stability": stab,
                         "mean_err": rep.mean_err}
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, Specialization, q_pochhammer
+from .core import INFINITY, ModelParams, Specialization, check_window, q_pochhammer
 from .vertex import sample_quadrant_batch, STEP
 
 POLE_COLLISION_TOL = 1e-9
@@ -39,47 +38,18 @@ class QuadratureError(ArithmeticError):
 # Contours
 
 
-@dataclass
-class ContourSpec:
-    """Nested positively oriented circles; circles[0] is the outermost
-    variable's contour and must contain q times every later circle."""
-
-    circles: list
-    q: float
-    inside_points: tuple = ()
-    outside_points: tuple = ()
-
-    def validate(self):
-        """Check each point and nesting condition with a 1e-9 margin."""
-        margin = 1e-9
-        for (c, r) in self.circles:
-            if r <= 0:
-                raise ContourError(f"nonpositive radius {r}")
-            for pt in self.inside_points:
-                if abs(pt - c) >= r - margin:
-                    raise ContourError(f"required point {pt} not inside circle ({c},{r})")
-            for pt in self.outside_points:
-                if abs(pt - c) <= r + margin:
-                    raise ContourError(f"excluded point {pt} not outside circle ({c},{r})")
-        for j, (cj, rj) in enumerate(self.circles):
-            for (cb, rb) in self.circles[j + 1 :]:
-                if abs(cj - self.q * cb) + self.q * rb >= rj - margin:
-                    raise ContourError(
-                        f"nesting violated: circle ({cj},{rj}) does not contain "
-                        f"q*({cb},{rb})"
-                    )
-        return self
-
-
-def build_nested_a_contours(a_pts, exclusions, q: float, ell: int) -> ContourSpec:
-    """Circles around the a cluster for the nested moment formulas.
+def build_nested_a_contours(a_pts, exclusions, q: float, ell: int) -> list:
+    """Nested positively oriented circles (center, radius) around the a
+    cluster for the nested moment formulas; circles[0] is the outermost
+    variable's contour and contains q times every later circle.
 
     All circles share the right edge 1.25 max(a), or halfway to the nearest
     excluded pole if that is closer; left edges march
     toward zero fast enough that circle_j contains q * circle_{j+1}.
     Feasibility requires the excluded points (a_i/nu_i poles) to sit
     strictly right of the cluster; the q-nesting toward zero is available
-    exactly when min(a) > q max(a).
+    exactly when min(a) > q max(a).  Every point and nesting condition is
+    checked with a 1e-9 margin.
     """
     amin, amax = min(a_pts), max(a_pts)
     if amin <= 0:
@@ -103,13 +73,25 @@ def build_nested_a_contours(a_pts, exclusions, q: float, ell: int) -> ContourSpe
     if left[0] <= 0 or left[ell - 1] >= amin:
         raise ContourError("inner contour cannot separate a cluster from zero")
     circles = [((lj + R) / 2.0, (R - lj) / 2.0) for lj in left]
-    spec = ContourSpec(
-        circles,
-        q,
-        inside_points=tuple(a_pts),
-        outside_points=(0.0,) + tuple(e for e in exclusions if math.isfinite(e)),
-    )
-    return spec.validate()
+    margin = 1e-9
+    outside_points = (0.0,) + tuple(e for e in exclusions if math.isfinite(e))
+    for (c, r) in circles:
+        if r <= 0:
+            raise ContourError(f"nonpositive radius {r}")
+        for pt in a_pts:
+            if abs(pt - c) >= r - margin:
+                raise ContourError(f"required point {pt} not inside circle ({c},{r})")
+        for pt in outside_points:
+            if abs(pt - c) <= r + margin:
+                raise ContourError(f"excluded point {pt} not outside circle ({c},{r})")
+    for j, (cj, rj) in enumerate(circles):
+        for (cb, rb) in circles[j + 1 :]:
+            if abs(cj - q * cb) + q * rb >= rj - margin:
+                raise ContourError(
+                    f"nesting violated: circle ({cj},{rj}) does not contain "
+                    f"q*({cb},{rb})"
+                )
+    return circles
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +100,15 @@ def build_nested_a_contours(a_pts, exclusions, q: float, ell: int) -> ContourSpe
 _LETTERS = "abcdefgh"
 
 
-def nested_contour_quadrature(h_list, contours: ContourSpec, q: float, n: int):
+def nested_contour_quadrature(h_list, circles, q: float, n: int):
     """Evaluates prod_j [oint dz_j/(2 pi i)] prod_j h_j(z_j)
     prod_{alpha<beta} (z_a - z_b)/(z_a - q z_b) by the periodic trapezoid
-    rule with n nodes per circle.  h_j must accept complex ndarray input."""
+    rule with n nodes per circle (center, radius).  h_j must accept complex
+    ndarray input."""
     k = len(h_list)
     nodes = []
     hv = []
-    for (c, r), h in zip(contours.circles, h_list):
+    for (c, r), h in zip(circles, h_list):
         theta = 2.0 * np.pi * np.arange(n) / n
         z = c + r * np.exp(1j * theta)
         nodes.append(z)
@@ -164,6 +147,15 @@ def _nested_residue_sum_a(h_evals, h_poles, q: float) -> float:
     k = len(h_evals)
     memo: dict = {}
 
+    def cross(term: float, pole: float, others) -> float:
+        """term times prod_w (pole - w) / (pole - q w) over the fixed values w."""
+        for w in others:
+            den = pole - q * w
+            if abs(den) < POLE_COLLISION_TOL * max(abs(pole), 1.0):
+                raise ContourError(f"pole collision at {pole} ~ q*{w}")
+            term *= (pole - w) / den
+        return term
+
     def rec(j: int, fixed: tuple) -> float:
         if j == 0:
             return 1.0
@@ -172,24 +164,14 @@ def _nested_residue_sum_a(h_evals, h_poles, q: float) -> float:
             return memo[key]
         total = 0.0
         for pole, resval in h_poles[j - 1]:
-            cross = 1.0
-            for v in fixed:
-                den = pole - q * v
-                if abs(den) < POLE_COLLISION_TOL * max(abs(pole), 1.0):
-                    raise ContourError(f"pole collision at {pole} ~ q*{v}")
-                cross *= (pole - v) / den
-            if cross != 0.0:
-                total += resval * cross * rec(j - 1, tuple(sorted(fixed + (pole,))))
+            factor = cross(1.0, pole, fixed)
+            if factor != 0.0:
+                total += resval * factor * rec(j - 1, tuple(sorted(fixed + (pole,))))
         for idx, v in enumerate(fixed):
             pole = q * v
-            term = (q * v - v) * h_evals[j - 1](pole)
-            for jdx, w in enumerate(fixed):
-                if jdx == idx:
-                    continue
-                den = pole - q * w
-                if abs(den) < POLE_COLLISION_TOL * max(abs(pole), 1.0):
-                    raise ContourError(f"pole collision at {pole} ~ q*{w}")
-                term *= (pole - w) / den
+            term = cross(
+                (q * v - v) * h_evals[j - 1](pole), pole, fixed[:idx] + fixed[idx + 1 :]
+            )
             if term != 0.0:
                 total += term * rec(j - 1, tuple(sorted(fixed + (pole,))))
         memo[key] = total
@@ -242,8 +224,7 @@ def _check_product_args(N_list, T, p, allow_zero=False):
     low = 0 if allow_zero else 1
     if not N_list or N_list[-1] < low:
         raise ValueError(f"N_list entries must be >= {low}")
-    if N_list[0] > len(p.a) or T > len(p.u):
-        raise ValueError("window exceeds available parameters")
+    check_window(p, N_list[0], T)
     return N_list
 
 
@@ -257,10 +238,10 @@ def _doubled_quadrature(h_list, a_pts, exclusions, q: float, n, doubling_tol: fl
     if ell > max(QUAD_NODES):
         raise ValueError(f"quadrature supports up to {max(QUAD_NODES)} variables")
     n = int(QUAD_NODES[ell] if n is None else n)
-    contours = build_nested_a_contours(a_pts, exclusions, q, ell)
+    circles = build_nested_a_contours(a_pts, exclusions, q, ell)
     pref = (-1.0) ** ell * q ** (ell * (ell - 1) // 2)
-    v1 = pref * nested_contour_quadrature(h_list, contours, q, n)
-    v2 = pref * nested_contour_quadrature(h_list, contours, q, 2 * n)
+    v1 = pref * nested_contour_quadrature(h_list, circles, q, n)
+    v2 = pref * nested_contour_quadrature(h_list, circles, q, 2 * n)
     err = abs(v2 - v1)
     if err > doubling_tol:
         raise QuadratureError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, q_pochhammer
+from .core import INFINITY, ModelParams, check_window, q_pochhammer
 from .rng import stream
 
 # Inverse-CDF sampling of the infinite-gap jump law is cut once the
@@ -215,6 +215,7 @@ def run_mixed(
         L = n_end
     if L < n_end:
         raise ValueError("L too small for the path")
+    check_window(p, L, max(t for _, t in path.points))
     c = p.c
     cfg = ParticleConfig.step(L)
     moves = ["start"]
@@ -290,6 +291,7 @@ def sample_mixed_batch(
     i jumps iff the running maximum of the codes is odd."""
     if L is None:
         L = N
+    check_window(p, max(N, L), T)
     rng = stream(seed, 0)
     R = int(n_samples)
     a = np.array(p.a[:L])
@@ -341,8 +343,7 @@ def sample_mixed_batch(
 # ---------------------------------------------------------------------------
 # Exact move laws and truncated transition matrices
 
-# cut of the first particle's infinite-support jump law in transition_matrix,
-# and the largest row deficit check_deficit accepts
+# cut of the first particle's infinite-support jump law in transition_matrix
 TRANSITION_TAIL_TOL = 1e-12
 
 
@@ -396,14 +397,6 @@ class TransitionMatrix:
     index: dict
     matrix: np.ndarray
     row_deficit: np.ndarray
-
-    def check_deficit(self, rows=None):
-        rows = range(len(self.states)) if rows is None else rows
-        worst = max(float(self.row_deficit[r]) for r in rows)
-        if worst > TRANSITION_TAIL_TOL:
-            raise ValueError(
-                f"truncated mass deficit {worst} exceeds {TRANSITION_TAIL_TOL}"
-            )
 
 
 def box_configs(L: int, box) -> list:

@@ -491,7 +491,7 @@ def asymptotics_experiment(
         samples[M] = _special_positions(q, u, a1, N, T, replicas, offset_seed(seed, k))
     m_top = max(m_list)
     xs = samples[m_top]
-    mean_err = abs(xs.mean() / m_top - x_th)
+    mean_err = float(abs(xs.mean() / m_top - x_th))
     if cd.regime == "CURVED":
         std = (xs - m_top * x_th) / (cd.sigma * m_top ** (1.0 / 3.0))
         ks = ks_distance_to_tw(std)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, Partition, q_pochhammer
+from .core import INFINITY, ModelParams, Partition, check_window, q_pochhammer
 from .rng import stream
 
 U_COLLISION_TOL = 1e-12
@@ -24,8 +24,6 @@ U_COLLISION_TOL = 1e-12
 class VertexOutcome:
     """One admissible output (i2, j2) of a vertex with its weight."""
 
-    i1: float
-    j1: int
     i2: float
     j2: int
     weight: float
@@ -48,15 +46,15 @@ def vertex_weight_row(u: float, a: float, nu: float, i1, j1: int, q: float):
     if denom == 0.0:
         raise ValueError(f"singular vertex weight: a*u = 1 for a={a}, u={u}")
     if j1 == 0:
-        outcomes = [VertexOutcome(i1, 0, i1, 0, (1.0 - a * u * qg) / denom)]
+        outcomes = [VertexOutcome(i1, 0, (1.0 - a * u * qg) / denom)]
         if i1 == INFINITY or i1 > 0:
             down = INFINITY if i1 == INFINITY else i1 - 1
-            outcomes.append(VertexOutcome(i1, 0, down, 1, -a * u * (1.0 - qg) / denom))
+            outcomes.append(VertexOutcome(down, 1, -a * u * (1.0 - qg) / denom))
     else:
         up = INFINITY if i1 == INFINITY else i1 + 1
         outcomes = [
-            VertexOutcome(i1, 1, i1, 1, (nu * qg - a * u) / denom),
-            VertexOutcome(i1, 1, up, 0, (1.0 - nu * qg) / denom),
+            VertexOutcome(i1, 1, (nu * qg - a * u) / denom),
+            VertexOutcome(up, 0, (1.0 - nu * qg) / denom),
         ]
     for o in outcomes:
         if o.weight < -1e-14:
@@ -128,8 +126,7 @@ def _window_check(p: ModelParams, window):
     n_max, t_max = window
     if n_max < 1 or t_max < 0:
         raise ValueError(f"window too small: {window}")
-    if n_max > len(p.a) or t_max > len(p.u):
-        raise ValueError("window exceeds available parameters")
+    check_window(p, n_max, t_max)
     return n_max, t_max
 
 
@@ -323,12 +320,9 @@ def sum_f_stoch_truncated(p: ModelParams, T: int, N: int) -> float:
     """Sum of f_stoch over kappa_1 <= N+1 with the column N+1 parameters
     replaced by a=nu=0, which pins all paths inside the first N+1 columns;
     the result is exactly 1."""
-    if N + 1 > len(p.a):
-        a = p.a[:N] + (0.0,)
-        nu = p.nu[:N] + (0.0,)
-    else:
-        a = p.a[:N] + (0.0,) + p.a[N + 1 :]
-        nu = p.nu[:N] + (0.0,) + p.nu[N + 1 :]
+    check_window(p, N, T)
+    a = p.a[:N] + (0.0,) + p.a[N + 1 :]
+    nu = p.nu[:N] + (0.0,) + p.nu[N + 1 :]
     total = 0.0
     for parts in row_partitions(T, N + 1):
         total += _f_stoch_arrays(parts, p.u[:T], a, nu, p.q)

@@ -3,12 +3,22 @@ harness check registry and prints one pass/fail line.
 
 Criterion 16 (the Tracy-Widom surrogate) is the single long check; it is
 excluded from the default CLI suite but runs here (marked slow so it can be
-deselected with -m "not slow").
+deselected with -m "not slow").  Each default criterion's payload must also
+equal its seed-0 entry in tests/golden/criteria_seed0.json (see
+tests/test_golden.py), so a change that moves a bit of a full-budget check
+fails here.
 """
+
+import json
+import pathlib
 
 import pytest
 
 from vertexlab import harness
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "criteria_seed0.json").read_text()
+)
 
 # (check id, runtime budget in seconds)
 CRITERIA = [
@@ -51,6 +61,7 @@ def test_criterion(check_id, budget):
         f"criterion {check_id} exceeded its runtime budget: "
         f"{result.runtime:.1f}s >= {budget:.0f}s"
     )
+    assert json.dumps(result.payload()) == json.dumps(GOLDEN[check_id])
 
 
 @pytest.mark.slow

@@ -170,7 +170,9 @@ def test_verify_subset(tmp_path, capsys):
     "argv,flag",
     [(["sample-vertex", "--window", "3,2"], "--config"),
      (["sample-qtasep"], "--config"),
-     (["sample-vertex", "--boundary", "nope"], "--boundary")],
+     (["sample-vertex", "--boundary", "nope"], "--boundary"),
+     (["sample-vertex", "--boundary", "gen-step-bernoulli:x"], "--boundary"),
+     (["sample-vertex", "--boundary", "gen-step-bernoulli:0"], "--boundary")],
 )
 def test_usage_errors_name_the_flag(argv, flag, config, capsys):
     if flag != "--config":
@@ -188,3 +190,26 @@ def test_verify_rejects_bad_seed_and_budget_scale(capsys, monkeypatch):
     monkeypatch.setenv("VERTEXLAB_SEED", "-1")
     assert main(["verify", "default"]) == 2
     assert "-1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["schur", "--mode", "tracy-widom", "--config", "CONFIG"], "--config"),
+     (["schur", "--mode", "tracy-widom", "--seed", "5"], "--seed"),
+     (["asymptotics", "--m-list", "10", "--replicas", "5", "--config", "CONFIG"],
+      "--config"),
+     (["diffops-check", "--config", "CONFIG"], "--config"),
+     (["verify", "SUITE", "--config", "CONFIG"], "--config"),
+     (["couple-check", "--config", "CONFIG", "--seed", "5"], "--seed"),
+     (["moments", "--config", "CONFIG", "--seed", "5"], "--seed")],
+    ids=["schur-config", "schur-seed", "asymptotics-config", "diffops-config",
+         "verify-config", "couple-check-seed", "moments-seed"],
+)
+def test_unread_flags_are_usage_errors(argv, flag, config, tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"checks": ["formal-identity"]}))
+    argv = [{"CONFIG": config, "SUITE": str(suite)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

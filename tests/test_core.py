@@ -16,6 +16,7 @@ from vertexlab.core import (
     q_pochhammer,
     validate_params,
 )
+from vertexlab import coupling, diffops, moments, qtasep, vertex
 
 
 def test_poch_examples():
@@ -94,9 +95,7 @@ def test_pi_w_coefficients_multiplicativity():
 
 
 def test_partition():
-    lam = Partition((3, 3, 1, 0))
-    assert lam.ell() == 3
-    assert lam.multiplicities() == {3: 2, 1: 1}
+    assert Partition((3, 3, 1, 0)).parts == (3, 3, 1, 0)
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -134,3 +133,33 @@ def test_config_round_trip():
     assert p2 == p and rho2 == rho
     p3, rho3 = params_from_config(params_to_config(p))
     assert p3 == p and rho3 is None
+
+
+# two columns and two rows of parameters; every call below needs a third
+_P2 = ModelParams(q=0.5, u=(-1.0, -0.8), a=(1.0, 0.9), nu=(0.0, 0.3))
+_T3 = qtasep.TimeLikePath.from_moves("TTT")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qtasep.sample_mixed_batch(_P2, 3, 1, 5, 0),
+        lambda: qtasep.sample_mixed_batch(_P2, 2, 3, 5, 0),
+        lambda: qtasep.sample_mixed_batch(_P2, 1, 1, 5, 0, L=3),
+        lambda: qtasep.run_mixed(qtasep.TimeLikePath.from_moves("T"), _P2, 0, L=3),
+        lambda: qtasep.run_mixed(_T3, _P2, 0),
+        lambda: coupling.theorem_coupling_check(_T3, _P2),
+        lambda: vertex.sum_f_stoch_truncated(_P2, 1, 3),
+        lambda: vertex.sum_f_stoch_truncated(_P2, 3, 1),
+        lambda: vertex.sample_quadrant_batch(_P2, vertex.STEP, (3, 1), 5, 0),
+        lambda: moments.moment_product_quadrature((3,), 1, _P2),
+        lambda: diffops.operator_expectation((1,), 1, 3, _P2),
+        lambda: validate_params(_P2, (1, 3)),
+    ],
+    ids=["mixed-N", "mixed-T", "mixed-L", "run-mixed-L", "run-mixed-T",
+         "coupling-T", "sum-f-stoch-N", "sum-f-stoch-T", "quadrant", "moments",
+         "operator", "validate"],
+)
+def test_window_beyond_parameters_is_value_error(call):
+    with pytest.raises(ValueError, match="window exceeds available parameters: needs"):
+        call()

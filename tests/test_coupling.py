@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,12 +7,10 @@ from vertexlab.coupling import (
     _tv,
     joint_law_check_prop_A,
     joint_law_check_prop_B,
-    sample_y_dagger,
     theorem_coupling_check,
     y_dagger_law,
 )
 from vertexlab.qtasep import TimeLikePath
-from vertexlab.rng import stream
 
 
 def test_tv_equal_and_disjoint_laws():
@@ -65,16 +61,6 @@ def test_y_dagger_atoms_sum_to_one():
         law = y_dagger_law(inp, q)
         assert abs(sum(law.values()) - 1.0) <= 1e-12
         assert set(law) <= {inp.xp_m, inp.xp_m + 1}
-
-
-def test_sample_y_dagger_frequencies():
-    inp = CouplingInputs(0, 1, -2, 1.0, 0.3, 1.0)
-    law = y_dagger_law(inp, 0.5)
-    rng = stream(5, 0)
-    n = 50_000
-    hits = sum(sample_y_dagger(inp, 0.5, rng) == -1 for _ in range(n))
-    p1 = law[-1]
-    assert abs(hits / n - p1) < 5 * math.sqrt(p1 * (1 - p1) / n)
 
 
 def test_coupling_inputs_invariants():

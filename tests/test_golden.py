@@ -3,7 +3,9 @@
 tests/golden/ holds the seed-0 payloads of the default suite at a hundredth
 of its budget and sha256 digests (dtype, shape and bytes) of the two batch
 samplers on a fixed grid of edge cases.  Any change that moves a sampled bit
-fails here.  A change that moves bits on purpose regenerates both files with
+fails here.  It also holds the seed-0 payloads of the default suite at its
+full budgets, which tests/test_acceptance.py compares with each criterion's
+run.  A change that moves bits on purpose regenerates all three files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,6 +25,7 @@ from vertexlab.rng import stream
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SUITE_FILE = GOLDEN / "suite_default_seed0_scale0.01.json"
 DIGEST_FILE = GOLDEN / "sampler_digests.json"
+CRITERIA_FILE = GOLDEN / "criteria_seed0.json"
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -94,6 +97,11 @@ def suite_payloads() -> str:
     return json.dumps([r.payload() for r in results], indent=1) + "\n"
 
 
+def criteria_payloads() -> str:
+    _, results = harness.run_suite(harness.DEFAULT_SUITE, seed=0)
+    return json.dumps({r.check_id: r.payload() for r in results}, indent=1) + "\n"
+
+
 def test_sampler_digests_unchanged():
     expected = json.loads(DIGEST_FILE.read_text())
     assert sampler_digests() == expected
@@ -107,3 +115,4 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     DIGEST_FILE.write_text(json.dumps(sampler_digests(), indent=1) + "\n")
     SUITE_FILE.write_text(suite_payloads())
+    CRITERIA_FILE.write_text(criteria_payloads())

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -187,3 +188,14 @@ def test_derived_seeds_wrap_at_top_of_range():
         assert res.check_id == cid
         with pytest.raises(ValueError, match="seed -1 "):
             run_suite([cid], seed=-1, budget_scale=1e-6)
+
+
+@pytest.mark.parametrize(
+    "check_id", ["stochasticity", "formal-identity", "operator-lemma", "commutation"]
+)
+def test_checks_gate_on_registered_tolerance(check_id):
+    run = harness.CHECKS[check_id]
+    args = (0,) if run.default_budget is None else (0, 3)
+    _, stat = run.__wrapped__(*args, math.inf)
+    assert not run.__wrapped__(*args, np.nextafter(stat, -math.inf))[0]
+    assert run.__wrapped__(*args, np.nextafter(stat, math.inf))[0]
