@@ -12,13 +12,13 @@ import json
 from dataclasses import dataclass
 
 from .core import INFINITY, ModelParams, check_window, params_digest
-from .qtasep import TimeLikePath, bernoulli_law, geometric_law, q_geom_law
+from .qtasep import EXACT_TAIL_CUT, ParticleConfig, TimeLikePath, bernoulli_law
+from .qtasep import gaps, geometric_law, q_geom_law
 from .vertex import Boundary, vertex_weight_row
 
-# Infinite-support jump laws are cut at cumulative 1 - TAIL_CUT, the DP drops
-# joint weights below PRUNE_FLOOR, and a check passes when TV + truncation
-# deficit <= TV_TOL; cut and dropped mass is counted in the deficit.
-TAIL_CUT = 1e-12
+# Infinite-support jump laws are cut at cumulative 1 - qtasep.EXACT_TAIL_CUT,
+# the DP drops joint weights below PRUNE_FLOOR, and a check passes when TV +
+# truncation deficit <= TV_TOL; cut and dropped mass is counted in the deficit.
 PRUNE_FLOOR = 1e-16
 TV_TOL = 1e-8
 
@@ -102,8 +102,7 @@ def _dagger_law(x, m: int, a, alpha: float, beta: float, q: float, keep: tuple):
     law: dict = {}
     deficit = 0.0
     x_prev = INFINITY if m == 1 else x[m - 2]
-    gap_m = INFINITY if m == 1 else x[m - 2] - x[m - 1] - 1
-    geom_pairs, d = q_geom_law(gap_m, a[m - 1] * alpha, q, TAIL_CUT)
+    geom_pairs, d = q_geom_law(gaps(x)[m - 1], a[m - 1] * alpha, q, EXACT_TAIL_CUT)
     for y, pb in _jumps_first(bernoulli_law(x[: m - 1], a, beta, q)):
         y_prev = INFINITY if m == 1 else y[m - 2]
         deficit += pb * d
@@ -134,8 +133,7 @@ def joint_law_check_prop_A(
     composed: dict = {}
     for y, pb in _jumps_first(bernoulli_law(x[:m], a, beta, q)):
         y_prev = INFINITY if m == 1 else y[m - 2]
-        gap = INFINITY if m == 1 else y_prev - y[m - 1] - 1
-        pairs, d2 = q_geom_law(gap, a[m - 1] * alpha, q, TAIL_CUT)
+        pairs, d2 = q_geom_law(gaps(y)[m - 1], a[m - 1] * alpha, q, EXACT_TAIL_CUT)
         deficit += pb * d2
         for j, pg in pairs:
             key = (y_prev, y[m - 1] + j)
@@ -154,7 +152,7 @@ def joint_law_check_prop_B(
     # GB route: independent geometric jumps of particles 1..m, then a
     # Bernoulli move on the jumped configuration down to particle m.
     composed: dict = {}
-    jumped, d2 = geometric_law(tuple(x[:m]), a, alpha, q, TAIL_CUT)
+    jumped, d2 = geometric_law(tuple(x[:m]), a, alpha, q)
     deficit += d2
     for xs, pg in jumped:
         for y, pb in _jumps_first(bernoulli_law(xs, a, beta, q)):
@@ -193,6 +191,14 @@ def _advance_row(states: dict, u: float, p: ModelParams, n_win: int) -> dict:
     return out
 
 
+def _observed_law(states: dict) -> dict:
+    """Marginal law of the observed values of (state, values) DP keys."""
+    law: dict = {}
+    for (_, vals), prob in states.items():
+        law[vals] = law.get(vals, 0.0) + prob
+    return law
+
+
 def _vertex_joint_law(path: TimeLikePath, p: ModelParams, r: int) -> dict:
     """Exact joint law of h(N_t + r, T_t) along the path, by DP over row
     states in a window wide enough that exits are tracked, not truncated."""
@@ -204,40 +210,28 @@ def _vertex_joint_law(path: TimeLikePath, p: ModelParams, r: int) -> dict:
 
     init_state = ((0,) * n_win, 0)
     states = {(init_state, (observe(init_state, 1),)): 1.0}
-    cur_t = 0
-    for (n0, t0), (n1, t1) in zip(path.points, path.points[1:]):
-        if t1 == t0 + 1:
-            states = _advance_row(states, p.u[t1 - 1], p, n_win)
-            cur_t = t1
-        new: dict = {}
-        for (state, vals), prob in states.items():
-            key = (state, vals + (observe(state, n1),))
-            new[key] = new.get(key, 0.0) + prob
-        states = new
-    law: dict = {}
-    for (state, vals), prob in states.items():
-        law[vals] = law.get(vals, 0.0) + prob
-    return law
+    for n1, _, move, param in path.steps(p, r):
+        if move == "BER":
+            states = _advance_row(states, -param, p, n_win)
+        # re-keying is exact: the keys are unique, so no probabilities add
+        states = {(s, v + (observe(s, n1),)): pr for (s, v), pr in states.items()}
+    return _observed_law(states)
 
 
 def _tasep_joint_law(path: TimeLikePath, p: ModelParams, r: int):
     """Exact joint law of x_{N_t+r-1}(N_t,T_t) + N_t + r - 1 along the path
     by DP over truncated particle configurations; returns (law, deficit)."""
     L = max(n for n, _ in path.points) + r - 1
-    c = p.c
     deficit = 0.0
-    x0 = tuple(-i for i in range(1, L + 1))
+    x0 = ParticleConfig.step(L).x
     states = {(x0, (x0[r - 1] + r,)): 1.0}
-    for (n0, t0), (n1, t1) in zip(path.points, path.points[1:]):
+    for n1, _, move, param in path.steps(p, r):
         moved: dict = {}
         for (cfg, vals), prob in states.items():
-            if t1 == t0 + 1:
-                law = bernoulli_law(cfg, p.a, -p.u[t1 - 1], p.q)
+            if move == "BER":
+                law = bernoulli_law(cfg, p.a, param, p.q)
             else:
-                alpha = c[n1 + r - 2]
-                if alpha <= 0.0:
-                    raise ValueError(f"geometric move needs nu_{n1 + r - 1} > 0")
-                law, d = geometric_law(cfg, p.a, alpha, p.q, TAIL_CUT)
+                law, d = geometric_law(cfg, p.a, param, p.q)
                 deficit += prob * d
             for target, pr in law:
                 w = prob * pr
@@ -247,10 +241,7 @@ def _tasep_joint_law(path: TimeLikePath, p: ModelParams, r: int):
                 key = (target, vals + (target[n1 + r - 2] + n1 + r - 1,))
                 moved[key] = moved.get(key, 0.0) + w
         states = moved
-    law: dict = {}
-    for (cfg, vals), prob in states.items():
-        law[vals] = law.get(vals, 0.0) + prob
-    return law, deficit
+    return _observed_law(states), deficit
 
 
 def theorem_coupling_check(

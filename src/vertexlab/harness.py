@@ -489,11 +489,7 @@ def check_schur_matching(seed, budget, tol):
         )
         hv = heights[:, T, N]
         for zeta in (0.3, 1.0):
-            table = {
-                h: 1.0 / q_pochhammer(-zeta * q**h, q, INFINITY)
-                for h in set(hv.tolist())
-            }
-            vals = np.array([table[h] for h in hv.tolist()])
+            vals = moments.q_laplace_observable(hv, -zeta, q)
 
             # product over all j >= 0: the lambda-dependent numerators stop
             # at j = T-1 but the (1 + zeta q^j) denominators continue

@@ -22,6 +22,7 @@ from .vertex import sample_quadrant_batch, STEP
 
 POLE_COLLISION_TOL = 1e-9
 QUAD_NODES = {1: 256, 2: 256, 3: 384, 4: 64}
+DOUBLING_TOL = 1e-10
 QLAPLACE_SERIES_TOL = 1e-12
 QLAPLACE_ELL_CAP = 10
 
@@ -228,45 +229,41 @@ def _check_product_args(N_list, T, p, allow_zero=False):
     return N_list
 
 
-def _doubled_quadrature(h_list, a_pts, exclusions, q: float, n, doubling_tol: float):
+def _doubled_quadrature(h_list, a_pts, exclusions, q: float):
     """(-1)^ell q^{ell(ell-1)/2} times nested_contour_quadrature of h_list on
-    the nested a contours, with n nodes per circle (QUAD_NODES[ell] if None)
-    and again with 2n.  Returns (value on 2n, |difference|); raises
-    QuadratureError if doubling moves the value by more than doubling_tol or
+    the nested a contours, with n = QUAD_NODES[ell] nodes per circle and
+    again with 2n.  Returns (value on 2n, |difference|); raises
+    QuadratureError if doubling moves the value by more than DOUBLING_TOL or
     leaves it nonreal."""
     ell = len(h_list)
     if ell > max(QUAD_NODES):
         raise ValueError(f"quadrature supports up to {max(QUAD_NODES)} variables")
-    n = int(QUAD_NODES[ell] if n is None else n)
+    n = QUAD_NODES[ell]
     circles = build_nested_a_contours(a_pts, exclusions, q, ell)
     pref = (-1.0) ** ell * q ** (ell * (ell - 1) // 2)
     v1 = pref * nested_contour_quadrature(h_list, circles, q, n)
     v2 = pref * nested_contour_quadrature(h_list, circles, q, 2 * n)
     err = abs(v2 - v1)
-    if err > doubling_tol:
+    if err > DOUBLING_TOL:
         raise QuadratureError(
-            f"grid doubling moved the value by {err} > {doubling_tol}"
+            f"grid doubling moved the value by {err} > {DOUBLING_TOL}"
         )
     if abs(v2.imag) > 1e-9:
         raise QuadratureError(f"nonreal quadrature value {v2}")
     return float(v2.real), float(err)
 
 
-def moment_product_quadrature(
-    N_list, T: int, p: ModelParams, n: int | None = None, doubling_tol: float = 1e-10
-):
+def moment_product_quadrature(N_list, T: int, p: ModelParams):
     """E prod_j (q^{h(N_j+1,T)} - q^{T+ell-j} nu_1..nu_{N_j}) by tensor
     trapezoid quadrature on nested circles, with a grid-doubling check.
 
     Returns (value, error_estimate); raises QuadratureError if doubling
-    moves the value by more than doubling_tol.
+    moves the value by more than DOUBLING_TOL.
     """
     N_list = _check_product_args(N_list, T, p)
     exclusions = [p.a[i] / p.nu[i] for i in range(N_list[0]) if p.nu[i] > 0]
     h_list = [_product_h_factory(N_j, T, p)[0] for N_j in N_list]
-    return _doubled_quadrature(
-        h_list, p.a[: N_list[0]], exclusions, p.q, n, doubling_tol
-    )
+    return _doubled_quadrature(h_list, p.a[: N_list[0]], exclusions, p.q)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +424,8 @@ def moment_qwhittaker(
     """E[q^{ell * lambda_N}] under the q-Whittaker measure with variables a
     and specialization rho, by the ell-fold nested contour integral.
 
-    method "quadrature" (ell <= 4, QUAD_NODES[ell] nodes, with a 1e-10
-    grid-doubling check) or "residues" (exact, any ell up to the
+    method "quadrature" (ell <= 4, QUAD_NODES[ell] nodes, with the
+    DOUBLING_TOL grid-doubling check) or "residues" (exact, any ell up to the
     combinatorial cap).
     """
     a = tuple(float(x) for x in a[:N])
@@ -443,7 +440,7 @@ def moment_qwhittaker(
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     exclusions = [1.0 / al for al in rho.alphas if al > 0]
-    return _doubled_quadrature([h] * ell, a, exclusions, q, None, 1e-10)[0]
+    return _doubled_quadrature([h] * ell, a, exclusions, q)[0]
 
 
 def matching_specialization(p: ModelParams, N: int, T: int) -> Specialization:
@@ -463,6 +460,13 @@ def qwhittaker_n1_pmf(rho: Specialization, a1: float, q: float, n_max: int):
 
 # ---------------------------------------------------------------------------
 # q-Laplace transform
+
+
+def q_laplace_observable(h, zeta, q: float, pref: float = 1.0) -> np.ndarray:
+    """pref / (zeta q^h; q)_inf for each entry of the nonnegative integer
+    array h, read from a table over 0..max(h)."""
+    ks = range(int(h.max()) + 1)
+    return np.array([pref / q_pochhammer(zeta * q**k, q, INFINITY) for k in ks])[h]
 
 
 def q_laplace(
@@ -485,8 +489,7 @@ def q_laplace(
         heights = sample_quadrant_batch(p, STEP, (N + 1, T), budget, seed)
         h = heights[:, T, N]
         npref = q_pochhammer(zeta * q**T * math.prod(p.nu[:N]), q, INFINITY)
-        table = {hv: npref / q_pochhammer(zeta * q**hv, q, INFINITY) for hv in set(h.tolist())}
-        vals = np.array([table[hv] for hv in h.tolist()])
+        vals = q_laplace_observable(h, zeta, q, npref)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     if mode != "QWHITTAKER":
         raise ValueError(f"unknown mode {mode!r}")

@@ -75,15 +75,18 @@ class ParticleConfig:
     def step(cls, L: int) -> "ParticleConfig":
         return cls(tuple(-i for i in range(1, L + 1)))
 
-    def gaps(self) -> list:
-        """Pre-move gaps m_i = x_{i-1} - x_i - 1, with m_1 = INFINITY."""
-        out = [INFINITY]
-        for i in range(1, len(self.x)):
-            out.append(self.x[i - 1] - self.x[i] - 1)
-        return out
 
-    def __len__(self) -> int:
-        return len(self.x)
+def gaps(x) -> list:
+    """Pre-move gaps m_i = x_{i-1} - x_i - 1, with m_1 = INFINITY."""
+    return [INFINITY] + [x[i - 1] - x[i] - 1 for i in range(1, len(x))]
+
+
+def _jump_probs(x, a, beta: float, q: float) -> list:
+    """Bernoulli jump probability of each particle as a pair (free, blocked):
+    p_i = a_i beta / (1 + a_i beta) when particle i-1 jumped, and
+    p_i (1 - q^{m_i}) when it stayed."""
+    free = [a[i] * beta / (1.0 + a[i] * beta) for i in range(len(x))]
+    return [(f, f * (1.0 - q**m)) for f, m in zip(free, gaps(x))]
 
 
 def _inv_cdf(pairs, draw: float) -> int:
@@ -102,14 +105,13 @@ def geometric_move(
 ) -> ParticleConfig:
     """Parallel geometric update: particle i jumps by j ~ p_{gap_i, a_i*alpha},
     all gaps taken from the pre-move configuration (parallel update)."""
-    gaps = cfg.gaps()
-    for i in range(len(cfg)):
+    for i in range(len(cfg.x)):
         if a[i] * alpha >= 1.0:
             raise ValueError(f"rate violation: a_{i+1} * alpha = {a[i] * alpha} >= 1")
     new = []
-    for i in range(len(cfg)):
-        pairs, _ = q_geom_law(gaps[i], a[i] * alpha, q)
-        new.append(cfg.x[i] + _inv_cdf(pairs, rng.random()))
+    for xi, ai, m in zip(cfg.x, a, gaps(cfg.x)):
+        pairs, _ = q_geom_law(m, ai * alpha, q)
+        new.append(xi + _inv_cdf(pairs, rng.random()))
     return ParticleConfig(tuple(new))
 
 
@@ -121,17 +123,11 @@ def bernoulli_move(
     been updated."""
     if beta <= 0.0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    old = cfg.x
     new = []
-    prev_jumped = True  # virtual x_0 at +infinity never blocks
-    for i in range(len(cfg)):
-        p_jump = a[i] * beta / (1.0 + a[i] * beta)
-        if i > 0 and not prev_jumped:
-            gap = old[i - 1] - old[i] - 1
-            p_jump *= 1.0 - q**gap
-        jumped = rng.random() < p_jump
-        new.append(old[i] + (1 if jumped else 0))
-        prev_jumped = jumped
+    jumped = True  # virtual x_0 at +infinity never blocks
+    for xi, (free, blocked) in zip(cfg.x, _jump_probs(cfg.x, a, beta, q)):
+        jumped = rng.random() < (free if jumped else blocked)
+        new.append(xi + (1 if jumped else 0))
     return ParticleConfig(tuple(new))
 
 
@@ -164,8 +160,21 @@ class TimeLikePath:
                 raise ValueError(f"unknown move {mv!r}")
         return cls(tuple(pts))
 
-    def __len__(self) -> int:
-        return len(self.points)
+    def steps(self, p: ModelParams, r: int = 1):
+        """The move of each path step, as (N', T', move, parameter): a
+        T-step to T' is "BER" with beta = -u_{T'}, an N-step to N' is "GEOM"
+        with alpha = c_{N'+r-1} (the particles of the order-r coupling are
+        shifted by r - 1)."""
+        c = p.c
+        for (_, t0), (n1, t1) in zip(self.points, self.points[1:]):
+            if t1 > t0:
+                yield n1, t1, "BER", -p.u[t1 - 1]
+                continue
+            k = n1 + r - 1
+            alpha = c[k - 1]
+            if alpha <= 0.0:
+                raise ValueError(f"geometric move needs nu_{k} > 0 (alpha = {alpha})")
+            yield n1, t1, "GEOM", alpha
 
 
 @dataclass
@@ -216,22 +225,14 @@ def run_mixed(
     if L < n_end:
         raise ValueError("L too small for the path")
     check_window(p, L, max(t for _, t in path.points))
-    c = p.c
     cfg = ParticleConfig.step(L)
     moves = ["start"]
     configs = [cfg]
     xvals = [cfg.x[0] + 1]
-    for (n0, t0), (n1, t1) in zip(path.points, path.points[1:]):
-        if t1 == t0 + 1:
-            beta = -p.u[t1 - 1]
-            cfg = bernoulli_move(cfg, p.a, beta, p.q, rng)
-            moves.append(f"BER({beta})")
-        else:
-            alpha = c[n1 - 1]
-            if alpha <= 0.0:
-                raise ValueError(f"geometric move needs nu_{n1} > 0 (alpha = {alpha})")
-            cfg = geometric_move(cfg, p.a, alpha, p.q, rng)
-            moves.append(f"GEOM({alpha})")
+    for n1, _, move, param in path.steps(p):
+        mover = bernoulli_move if move == "BER" else geometric_move
+        cfg = mover(cfg, p.a, param, p.q, rng)
+        moves.append(f"{move}({param})")
         configs.append(cfg)
         xvals.append(cfg.x[n1 - 1] + n1)
     return Trajectory(path.points, tuple(moves), tuple(configs), tuple(xvals))
@@ -343,38 +344,33 @@ def sample_mixed_batch(
 # ---------------------------------------------------------------------------
 # Exact move laws and truncated transition matrices
 
-# cut of the first particle's infinite-support jump law in transition_matrix
-TRANSITION_TAIL_TOL = 1e-12
+# cut of the exact laws' infinite-support jump law, returned as a deficit
+EXACT_TAIL_CUT = 1e-12
 
 
 def bernoulli_law(cfg_x: tuple, a, beta: float, q: float):
     """Exact law of one Bernoulli move from cfg_x: list of (new_x, prob)."""
-    L = len(cfg_x)
+    probs = _jump_probs(cfg_x, a, beta, q)
     out = []
-    for pattern in itertools.product((0, 1), repeat=L):
+    for pattern in itertools.product((0, 1), repeat=len(cfg_x)):
         prob = 1.0
         prev = True
-        for i in range(L):
-            p_jump = a[i] * beta / (1.0 + a[i] * beta)
-            if i > 0 and not prev:
-                gap = cfg_x[i - 1] - cfg_x[i] - 1
-                p_jump *= 1.0 - q**gap
-            prob *= p_jump if pattern[i] else 1.0 - p_jump
-            prev = bool(pattern[i])
+        for (free, blocked), jumped in zip(probs, pattern):
+            p_jump = free if prev else blocked
+            prob *= p_jump if jumped else 1.0 - p_jump
+            prev = bool(jumped)
         if prob > 0.0:
             out.append((tuple(x + d for x, d in zip(cfg_x, pattern)), prob))
     return out
 
 
-def geometric_law(cfg_x: tuple, a, alpha: float, q: float, tail: float = GEOM_TAIL_CUT):
+def geometric_law(cfg_x: tuple, a, alpha: float, q: float):
     """Exact law of one geometric move: list of (new_x, prob) plus the
     truncation deficit of the first particle's infinite-support jump."""
-    L = len(cfg_x)
     per_particle = []
     deficit = 0.0
-    gaps = [INFINITY] + [cfg_x[i - 1] - cfg_x[i] - 1 for i in range(1, L)]
-    for i in range(L):
-        pairs, d = q_geom_law(gaps[i], a[i] * alpha, q, tail)
+    for i, m in enumerate(gaps(cfg_x)):
+        pairs, d = q_geom_law(m, a[i] * alpha, q, EXACT_TAIL_CUT)
         per_particle.append(pairs)
         deficit += d
     out = []
@@ -436,7 +432,7 @@ def transition_matrix(
             law = bernoulli_law(s, a, beta, q)
             deficit = 0.0
         elif move == "GEOM":
-            law, deficit = geometric_law(s, a, alpha, q, TRANSITION_TAIL_TOL)
+            law, deficit = geometric_law(s, a, alpha, q)
         else:
             raise ValueError(f"unknown move {move!r}")
         for target, prob in law:

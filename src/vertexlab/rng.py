@@ -22,7 +22,7 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream_id); ValueError unless both
     lie in [0, 2**64)."""
     key = [_in_range("seed", seed), _in_range("stream id", stream_id)]
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def offset_seed(seed: int, k: int) -> int:

@@ -324,7 +324,7 @@ def sigma_from_g(eta: float, tau: float, u: float) -> float:
 
 def limit_shape(eta: float, tau: float, u: float) -> float:
     """Law-of-large-numbers limit of x_{eta M}(eta M, tau M) / M."""
-    if tau / eta > -1.0 / u:
+    if critical_point(eta, tau, u).regime == "CURVED":
         return (-u * (tau - eta) - 2.0 * math.sqrt(-u * eta * tau)) / (1.0 - u)
     return -eta
 

@@ -76,6 +76,10 @@ class Boundary:
     r: int = 0
 
     def validate(self, p: ModelParams):
+        if self.r > len(p.nu):
+            raise ValueError(
+                f"boundary of order r={self.r} exceeds the {len(p.nu)} columns"
+            )
         if any(p.nu[i] != 0.0 for i in range(self.r)):
             raise ValueError(
                 f"boundary of order r={self.r} requires nu_1..nu_{self.r} = 0"

@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import vertexlab
 from vertexlab.cli import main
 from vertexlab.core import ModelParams, params_to_config
 
@@ -22,9 +25,12 @@ def config(tmp_path):
 
 
 def test_usage_error_exit_code():
+    # the child imports vertexlab from where this process found it
+    src = str(pathlib.Path(vertexlab.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "vertexlab.cli", "no-such-command"],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 2
 
@@ -180,6 +186,17 @@ def test_usage_errors_name_the_flag(argv, flag, config, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+def test_boundary_order_beyond_the_columns_is_a_usage_error(tmp_path, capsys):
+    # every nu is zero, so the boundary's nu_1..nu_r = 0 test reaches column 5
+    p = ModelParams(q=0.5, u=(-1.0,), a=(1.0, 0.9, 1.1, 0.95), nu=(0.0,) * 4)
+    config = tmp_path / "params.json"
+    config.write_text(params_to_config(p))
+    argv = ["sample-vertex", "--config", str(config), "--boundary", "gen-step-bernoulli:9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "r=9" in err and "4 columns" in err
 
 
 def test_verify_rejects_bad_seed_and_budget_scale(capsys, monkeypatch):

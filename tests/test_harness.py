@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,13 @@ def test_stream_rejects_out_of_range_keys():
     ]:
         with pytest.raises(ValueError, match=message):
             stream(seed, stream_id)
+
+
+def test_stream_keys_keep_every_bit_of_large_seeds():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stream(2**63, 5).random() != stream(2**63 + 1, 5).random()
+        assert stream(2**64 - 1, 12).random() != stream(2**64 - 2, 12).random()
 
 
 def test_derived_seeds_wrap_at_top_of_range():

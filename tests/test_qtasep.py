@@ -13,6 +13,7 @@ from vertexlab.qtasep import (
     bernoulli_law,
     bernoulli_move,
     box_configs,
+    gaps,
     geometric_law,
     geometric_move,
     q_geom_law,
@@ -52,7 +53,7 @@ def test_q_geom_infinite_law_normalizes():
 def test_particle_config():
     cfg = ParticleConfig.step(3)
     assert cfg.x == (-1, -2, -3)
-    assert cfg.gaps() == [INFINITY, 0, 0]
+    assert gaps(cfg.x) == [INFINITY, 0, 0]
     with pytest.raises(ValueError):
         ParticleConfig((0, 0))
 
@@ -122,11 +123,24 @@ def test_run_mixed_start_and_pure_bernoulli():
     )
 
 
+def test_path_steps_schedule_the_moves():
+    p = ModelParams(q=0.5, u=(-0.9, -1.1), a=(1.0, 0.8, 1.2), nu=(0.0, 0.4, 0.0))
+    path = TimeLikePath.from_moves("TNT")
+    assert list(path.steps(p)) == [
+        (1, 1, "BER", 0.9), (2, 1, "GEOM", 0.5), (2, 2, "BER", 1.1)
+    ]
+    # the order-r coupling reads alpha = c_{N'+r-1}
+    with pytest.raises(ValueError, match=r"nu_3 > 0 \(alpha = 0.0\)"):
+        list(path.steps(p, 2))
+    with pytest.raises(ValueError, match=r"nu_3 > 0"):
+        run_mixed(TimeLikePath.from_moves("NN"), p, 0)
+
+
 def test_run_mixed_two_move_law():
     # (N,T) = (2,1): matches brute-force enumeration of the 2-move law
     p = ModelParams(q=0.5, u=(-0.9,), a=(1.0, 1.0), nu=(0.35, 0.3))
     exact: dict = {}
-    for cfg0, pr0 in geometric_law((-1, -2), p.a, p.c[1], p.q, 1e-14)[0]:
+    for cfg0, pr0 in geometric_law((-1, -2), p.a, p.c[1], p.q)[0]:
         for cfg1, pr1 in bernoulli_law(cfg0, p.a, 0.9, p.q):
             k = cfg1[1] + 2
             exact[k] = exact.get(k, 0.0) + pr0 * pr1
@@ -218,7 +232,7 @@ def test_sample_mixed_batch_matches_exact():
     for n in range(2, N + 1):
         new: dict = {}
         for cfg, pr in dist.items():
-            for tgt, w in geometric_law(cfg, p.a, p.c[n - 1], p.q, 1e-14)[0]:
+            for tgt, w in geometric_law(cfg, p.a, p.c[n - 1], p.q)[0]:
                 new[tgt] = new.get(tgt, 0.0) + pr * w
         dist = new
     for t in range(T):

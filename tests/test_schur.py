@@ -83,6 +83,13 @@ def test_limit_shape_values_and_continuity():
     assert critical_point(eta, tau, u).sigma < 1e-7
 
 
+@pytest.mark.parametrize("eta,tau,u", [(-1.0, 2.0, -1.0), (1.0, 0.0, -1.0), (1.0, 2.0, 0.5)])
+def test_limit_shape_and_critical_point_share_the_domain(eta, tau, u):
+    for fn in (limit_shape, critical_point):
+        with pytest.raises(ValueError, match="need eta, tau > 0 and u < 0"):
+            fn(eta, tau, u)
+
+
 def _conjugate(lam):
     return tuple(sum(1 for r in lam if r > j) for j in range(lam[0]))
 
@@ -228,7 +235,7 @@ def test_simulator_matches_exact_small_law():
     for _ in range(N - 1):
         new = {}
         for cfg, pr in dist.items():
-            for tgt, w in geometric_law(cfg, a, q, q, 1e-14)[0]:
+            for tgt, w in geometric_law(cfg, a, q, q)[0]:
                 new[tgt] = new.get(tgt, 0.0) + pr * w
         dist = new
     for _ in range(T):
