@@ -22,16 +22,35 @@ from .core import ModelParams, params_from_config
 def _load_params(args) -> ModelParams:
     if not args.config:
         raise ValueError(f"{args.command} requires --config")
-    text = pathlib.Path(args.config).read_text()
-    p, _ = params_from_config(text)
-    return p
+    return params_from_config(pathlib.Path(args.config).read_text())
 
 
 def _seed(args) -> int:
     env = os.environ.get("VERTEXLAB_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise ValueError(f"VERTEXLAB_SEED must be an integer, got {env!r}") from None
+
+
+def _int_list(text: str) -> tuple:
+    """argparse type of the comma-separated integer flags."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _window(text: str) -> tuple:
+    """argparse type of --window: N_max,T_max."""
+    window = _int_list(text)
+    if len(window) != 2:
+        raise argparse.ArgumentTypeError(f"expected N_max,T_max, got {text!r}")
+    return window
 
 
 def _emit(args, default_name: str, text: str):
@@ -61,8 +80,7 @@ def _parse_boundary(spec: str) -> vertex.Boundary:
 
 def cmd_sample_vertex(args) -> int:
     p = _load_params(args)
-    n_max, t_max = (int(x) for x in args.window.split(","))
-    hf = vertex.sample_quadrant(p, _parse_boundary(args.boundary), (n_max, t_max), _seed(args))
+    hf = vertex.sample_quadrant(p, _parse_boundary(args.boundary), args.window, _seed(args))
     _emit(args, "heights.csv", hf.to_csv())
     return 0
 
@@ -85,17 +103,15 @@ def cmd_couple_check(args) -> int:
 
 def cmd_moments(args) -> int:
     p = _load_params(args)
-    n_list = tuple(int(x) for x in args.n_list.split(","))
-    T = args.T
     records = []
     if args.route in ("residues", "all"):
-        v = moments.moment_height_residues(n_list, T, p)
+        v = moments.moment_height_residues(args.n_list, args.T, p)
         records.append(moments.moment_record("height-moment", p, v, "residues", 0.0))
     if args.route in ("quadrature", "all"):
-        v, err = moments.moment_product_quadrature(n_list, T, p)
+        v, err = moments.moment_product_quadrature(args.n_list, args.T, p)
         records.append(moments.moment_record("product-moment", p, v, "quadrature", err))
     if args.route in ("operator", "all"):
-        v = diffops.operator_expectation(n_list, T, max(n_list), p)
+        v = diffops.operator_expectation(args.n_list, args.T, max(args.n_list), p)
         records.append(moments.moment_record("product-moment", p, v, "operator", 0.0))
     _emit(args, "moments.jsonl", "\n".join(records) + "\n")
     return 0
@@ -128,9 +144,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    m_list = [int(x) for x in args.m_list.split(",")]
     rep = schur.asymptotics_experiment(
-        args.q, args.u, args.a1, args.eta, args.tau, m_list, args.replicas, _seed(args)
+        args.q, args.u, args.a1, args.eta, args.tau, args.m_list, args.replicas, _seed(args)
     )
     _emit(args, "asymptotics.csv", rep.to_csv())
     _emit(args, "asymptotics_summary.json", json.dumps(rep.summary(), indent=2) + "\n")
@@ -166,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample-vertex", help="sample the quadrant model")
     common(sp, config=True, seed=True)
-    sp.add_argument("--window", default="8,4", help="N_max,T_max")
+    sp.add_argument("--window", type=_window, default="8,4", help="N_max,T_max")
     sp.add_argument("--boundary", default="step")
     sp.set_defaults(fn=cmd_sample_vertex)
 
@@ -184,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moments", help="evaluate moment formulas")
     common(sp, config=True, seed=False)
-    sp.add_argument("--n-list", default="1", help="comma-separated N values")
+    sp.add_argument("--n-list", type=_int_list, default="1",
+                    help="comma-separated N values")
     sp.add_argument("--T", type=int, default=1)
     sp.add_argument("--route", choices=("residues", "quadrature", "operator", "all"),
                     default="all")
@@ -216,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a1", type=float, default=1.0)
     sp.add_argument("--eta", type=float, default=1.0)
     sp.add_argument("--tau", type=float, default=2.0)
-    sp.add_argument("--m-list", default="400")
+    sp.add_argument("--m-list", type=_int_list, default="400")
     sp.add_argument("--replicas", type=int, default=200)
     sp.set_defaults(fn=cmd_asymptotics)
 

@@ -21,8 +21,8 @@ def q_pochhammer(z, q: float, n=INFINITY):
     """q-Pochhammer symbol (z; q)_n = prod_{k=0}^{n-1} (1 - z q^k).
 
     `n` may be a nonnegative integer or INFINITY.  The infinite product is
-    truncated once |z q^k| < POCH_TOL; see `poch_inf_tail_bound` for the
-    certified multiplicative error of that truncation.
+    truncated once |z q^k| < POCH_TOL; the comment at POCH_TOL bounds the
+    multiplicative error of that truncation.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
@@ -42,18 +42,6 @@ def q_pochhammer(z, q: float, n=INFINITY):
         result = result * (1.0 - zq)
         zq = zq * q
     return result
-
-
-def poch_inf_tail_bound(z, q: float) -> float:
-    """Multiplicative error bound for the truncated (z;q)_infinity.
-
-    After the truncation in `q_pochhammer` the omitted factors satisfy
-    |log prod (1 - z q^k)| <= sum 2|z q^k| <= 2*POCH_TOL/(1-q), so the
-    returned bound B guarantees true = computed * exp(s) with |s| <= B.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0,1), got {q}")
-    return 2.0 * POCH_TOL / (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -76,13 +64,6 @@ class Specialization:
             raise ValueError("alpha and beta parameters must be nonnegative")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-
-    def concat(self, other: "Specialization") -> "Specialization":
-        return Specialization(
-            self.alphas + other.alphas,
-            self.betas + other.betas,
-            self.gamma + other.gamma,
-        )
 
 
 def pi_w(u: float, rho: Specialization, q: float) -> float:
@@ -206,7 +187,7 @@ class ValidityReport:
     margin: float
 
 
-def validate_params(p: ModelParams, window: tuple, eps: float = 1e-6) -> ValidityReport:
+def validate_params(p: ModelParams, window: tuple) -> ValidityReport:
     """Evaluate the three parameter-regime flags over window = (N_max, T_max).
 
     basic_ok: a's and nu's bounded away from interval endpoints by eps
@@ -214,6 +195,7 @@ def validate_params(p: ModelParams, window: tuple, eps: float = 1e-6) -> Validit
     whittaker_ok: a_i * c_j < 1 for all i, j in the window.
     nested_ok: min a > q * max a over the window.
     """
+    eps = 1e-6
     n_max, t_max = window
     check_window(p, n_max, t_max)
     a = p.a[:n_max]
@@ -243,25 +225,17 @@ def params_digest(p: ModelParams) -> str:
     return hashlib.sha1(params_to_config(p).encode()).hexdigest()[:12]
 
 
-def params_to_config(p: ModelParams, rho: Specialization | None = None) -> str:
-    """Serialize parameters (and optionally a specialization) to config text."""
+def params_to_config(p: ModelParams) -> str:
+    """Serialize parameters to config text."""
     doc: dict = {"q": p.q, "u": list(p.u), "a": list(p.a), "nu": list(p.nu)}
-    if rho is not None:
-        doc["alphas"] = list(rho.alphas)
-        doc["betas"] = list(rho.betas)
-        doc["gamma"] = rho.gamma
     return json.dumps(doc, indent=2)
 
 
-def params_from_config(text: str):
-    """Parse config text; returns (ModelParams, Specialization or None)."""
+def params_from_config(text: str) -> ModelParams:
+    """Parse config text.  A config holds the keys q, u, a and nu; any other
+    key is a ValueError naming it."""
     doc = json.loads(text)
-    p = ModelParams(q=doc["q"], u=doc["u"], a=doc["a"], nu=doc["nu"])
-    rho = None
-    if any(k in doc for k in ("alphas", "betas", "gamma")):
-        rho = Specialization(
-            alphas=doc.get("alphas", ()),
-            betas=doc.get("betas", ()),
-            gamma=doc.get("gamma", 0.0),
-        )
-    return p, rho
+    unknown = sorted(set(doc) - {"q", "u", "a", "nu"})
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}: use q, u, a and nu")
+    return ModelParams(q=doc["q"], u=doc["u"], a=doc["a"], nu=doc["nu"])

@@ -123,10 +123,9 @@ def _jumps_first(law: list) -> list:
     return law[::-1]
 
 
-def joint_law_check_prop_A(
-    x, m: int, a, alpha: float, beta: float, q: float
-) -> CouplingReport:
-    """Exact joint pmf of (y_{m-1}, y-dagger_m) vs (y_{m-1}, y^{BG}_m)."""
+def joint_law_check_prop_A(x, m: int, a, alpha: float, beta: float, q: float):
+    """Exact joint pmf of (y_{m-1}, y-dagger_m) vs (y_{m-1}, y^{BG}_m);
+    returns (TV distance, truncation deficit)."""
     dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, keep=(0, 2))
     # BG route: a Bernoulli move of particles 1..m, then the geometric jump
     # of particle m against the moved particle m-1.
@@ -138,16 +137,12 @@ def joint_law_check_prop_A(
         for j, pg in pairs:
             key = (y_prev, y[m - 1] + j)
             composed[key] = composed.get(key, 0.0) + pb * pg
-    tv = _tv(dagger, composed)
-    return CouplingReport(
-        f"prop_A(m={m})", "", tv, deficit, tv + deficit <= TV_TOL
-    )
+    return _tv(dagger, composed), deficit
 
 
-def joint_law_check_prop_B(
-    x, m: int, a, alpha: float, beta: float, q: float
-) -> CouplingReport:
-    """Exact joint pmf of (x'_m, y-dagger_m) vs (x'_m, y^{GB}_m)."""
+def joint_law_check_prop_B(x, m: int, a, alpha: float, beta: float, q: float):
+    """Exact joint pmf of (x'_m, y-dagger_m) vs (x'_m, y^{GB}_m);
+    returns (TV distance, truncation deficit)."""
     dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, keep=(1, 2))
     # GB route: independent geometric jumps of particles 1..m, then a
     # Bernoulli move on the jumped configuration down to particle m.
@@ -158,10 +153,7 @@ def joint_law_check_prop_B(
         for y, pb in _jumps_first(bernoulli_law(xs, a, beta, q)):
             key = (xs[m - 1], y[m - 1])
             composed[key] = composed.get(key, 0.0) + pg * pb
-    tv = _tv(dagger, composed)
-    return CouplingReport(
-        f"prop_B(m={m})", "", tv, deficit, tv + deficit <= TV_TOL
-    )
+    return _tv(dagger, composed), deficit
 
 
 # ---------------------------------------------------------------------------

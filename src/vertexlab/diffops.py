@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import INFINITY, ModelParams, check_window, q_pochhammer
+from .core import ModelParams, check_window
 from .moments import _check_product_args
 
 A_COLLISION_REL_TOL = 1e-9
@@ -93,20 +93,6 @@ def phi_m(point: EvaluablePoint, u, M: int) -> float:
     if M > len(point.a):
         raise ValueError("M exceeds point arity")
     return math.prod(1.0 - point.a[j] * ui for ui in u for j in range(M))
-
-
-def pi_n(point: EvaluablePoint, q: float, N: int) -> float:
-    """Pi_N = prod_{i,j<=N} 1/(a_i c_j; q)_inf with c_j = nu_j/a_j."""
-    a, nu = point.a, point.nu
-    c = [nu[j] / a[j] for j in range(N)]
-    val = 1.0
-    for i in range(N):
-        for j in range(N):
-            x = a[i] * c[j]
-            if x >= 1.0:
-                raise ValueError(f"Pi_N diverges: a_{i+1} c_{j+1} = {x} >= 1")
-            val /= q_pochhammer(x, q, INFINITY)
-    return val
 
 
 def operator_expectation(N_list, T: int, M: int, p: ModelParams) -> float:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from . import coupling, diffops, moments, qtasep, schur, vertex
 from .core import INFINITY, ModelParams, Specialization, q_pochhammer
@@ -95,6 +95,12 @@ def _min_p(worst: float, p: float, details: dict, key: str) -> float:
     return min(worst, p)
 
 
+def _chi2_sf(chi2: float, df: int) -> float:
+    """Chi-square survival function; NaN without a degree of freedom.
+    (chdtrc itself gives 0 at df = 0, and _min_p relies on the NaN.)"""
+    return float(chdtrc(df, chi2)) if df >= 1 else math.nan
+
+
 def chi2_gof(counts: dict, oracle: dict):
     """Chi-square goodness of fit of empirical counts against an oracle pmf;
     returns (chi2, p).  Atoms are taken in decreasing oracle probability
@@ -118,7 +124,7 @@ def chi2_gof(counts: dict, oracle: dict):
     pooled_obs.append(tail_obs)
     pooled_exp.append(tail_exp)
     chi2 = sum((o - e) ** 2 / e for o, e in zip(pooled_obs, pooled_exp))
-    return chi2, float(stats.chi2.sf(chi2, len(pooled_obs) - 1))
+    return chi2, _chi2_sf(chi2, len(pooled_obs) - 1)
 
 
 def chi2_two_sample(c1, c2):
@@ -134,7 +140,7 @@ def chi2_two_sample(c1, c2):
             (o1 - n1 * pooled) ** 2 / (n1 * pooled)
             + (o2 - n2 * pooled) ** 2 / (n2 * pooled)
         )
-    return chi2, float(stats.chi2.sf(chi2, int((pooled > 0).sum()) - 1))
+    return chi2, _chi2_sf(chi2, int((pooled > 0).sum()) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +395,7 @@ def check_commutation(seed, tol):
     return worst <= tol, worst
 
 
-@check("local-coupling", 1e-8, budget=50)
+@check("local-coupling", coupling.TV_TOL, budget=50)
 def check_local_coupling(seed, budget, tol):
     """Enumeration TV for the two local coupling propositions."""
     rng = stream(seed, 10)
@@ -406,10 +412,9 @@ def check_local_coupling(seed, budget, tol):
             x.append(pos)
             pos -= int(rng.integers(1, 4))
         m = int(rng.integers(1, L + 1))
-        ra = coupling.joint_law_check_prop_A(tuple(x), m, a, alpha, beta, q)
-        rb = coupling.joint_law_check_prop_B(tuple(x), m, a, alpha, beta, q)
-        worst = max(worst, ra.tv_distance + ra.truncation_deficit,
-                    rb.tv_distance + rb.truncation_deficit)
+        tv_a, deficit_a = coupling.joint_law_check_prop_A(tuple(x), m, a, alpha, beta, q)
+        tv_b, deficit_b = coupling.joint_law_check_prop_B(tuple(x), m, a, alpha, beta, q)
+        worst = max(worst, tv_a + deficit_a, tv_b + deficit_b)
     return worst <= tol, worst
 
 
@@ -418,7 +423,7 @@ def _all_paths(n_steps: int):
         yield qtasep.TimeLikePath.from_moves("".join(moves))
 
 
-@check("coupling-theorem", 1e-8, budget=10)
+@check("coupling-theorem", coupling.TV_TOL, budget=10)
 def check_coupling_theorem(seed, budget, tol):
     """Double-DP TV for the time-like-path theorem, all short paths plus
     random longer ones and one generalized step-Bernoulli instance."""
@@ -552,9 +557,10 @@ FULL_SUITE = list(CHECKS)
 
 
 def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
-    """Run a list of checks (suite name, list of ids, or a JSON spec file);
-    returns (exit_code, results).  Writes per-check JSON and a summary CSV
-    when out_dir is given.  ValueError unless budget_scale > 0."""
+    """Run a list of checks (suite name, list of ids, or a JSON suite file
+    {"checks": [...]}); returns (exit_code, results).  Writes per-check JSON
+    and a summary CSV when out_dir is given.  ValueError unless
+    budget_scale > 0, or if the suite file has another key."""
     import pathlib
 
     if isinstance(spec, str):
@@ -564,9 +570,10 @@ def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
             check_ids = FULL_SUITE
         else:
             doc = json.loads(pathlib.Path(spec).read_text())
+            unknown = sorted(set(doc) - {"checks"})
+            if unknown:
+                raise ValueError(f"unknown suite-file key(s) {unknown}: use checks")
             check_ids = doc["checks"]
-            seed = doc.get("seed", seed)
-            budget_scale = doc.get("budget_scale", budget_scale)
     else:
         check_ids = list(spec)
     if not budget_scale > 0:

@@ -482,6 +482,8 @@ def q_laplace(
     mode (Monte Carlo, returns (mean, stderr)), or the matching q-Whittaker
     side E[1/(zeta q^{lambda_N}; q)_inf] in QWHITTAKER mode (certified
     series of q-moments, returns (value, tail_bound))."""
+    if mode not in ("VERTEX", "QWHITTAKER"):
+        raise ValueError(f"unknown mode {mode!r}")
     if zeta == 0:
         return (1.0, 0.0)
     q = p.q
@@ -491,15 +493,15 @@ def q_laplace(
         npref = q_pochhammer(zeta * q**T * math.prod(p.nu[:N]), q, INFINITY)
         vals = q_laplace_observable(h, zeta, q, npref)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    if mode != "QWHITTAKER":
-        raise ValueError(f"unknown mode {mode!r}")
     rho = matching_specialization(p, N, T)
     total = 1.0
     ell = 1
     while True:
         coeff = abs(zeta) ** ell / q_pochhammer(q, q, ell)
         if coeff < QLAPLACE_SERIES_TOL:
-            tail = coeff / (1.0 - abs(zeta)) if abs(zeta) < 1 else coeff
+            # here |zeta| < 1; moments are at most 1 and (q;q)_k >= (q;q)_inf,
+            # so the terms from ell on sum to at most this geometric series
+            tail = abs(zeta) ** ell / (q_pochhammer(q, q, INFINITY) * (1.0 - abs(zeta)))
             return float(total), float(tail)
         if ell > QLAPLACE_ELL_CAP:
             raise ValueError(

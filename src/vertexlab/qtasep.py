@@ -413,7 +413,7 @@ def transition_matrix(
     *,
     alpha: float | None = None,
     beta: float | None = None,
-    q: float = 0.5,
+    q: float,
 ) -> TransitionMatrix:
     """Explicit transition matrix of one move over the truncated state space.
 
@@ -422,6 +422,10 @@ def transition_matrix(
     in-box states are exact, so products of these matrices agree entrywise
     with the untruncated operators wherever row and column are in the box.
     """
+    if move == "BER" and beta is None:
+        raise ValueError("BER move requires beta")
+    if move == "GEOM" and alpha is None:
+        raise ValueError("GEOM move requires alpha")
     states = box_configs(L, box)
     index = {s: i for i, s in enumerate(states)}
     n = len(states)

@@ -50,16 +50,20 @@ class SchurSetup:
         if self.N < 1 or self.T < 0:
             raise ValueError("need N >= 1, T >= 0")
 
-    def rho_betas(self) -> list:
-        """Beta parameters of rho_N, the geometric a1 family truncated far
-        below double precision plus N-1 unit entries."""
+    def geometric_betas(self) -> list:
+        """The geometric a1 family a1^{-1} q^m, m >= 0, of rho_N, cut far
+        below double precision."""
         out = []
         b = 1.0 / self.a1
         while b >= BETA_FACTOR_TOL:
             out.append(b)
             b *= self.q
-        out.extend([1.0] * (self.N - 1))
         return out
+
+    def rho_betas(self) -> list:
+        """Beta parameters of rho_N: the geometric a1 family plus N-1 unit
+        entries."""
+        return self.geometric_betas() + [1.0] * (self.N - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +211,8 @@ def schur_kernel_matrix(s: SchurSetup, indices, n_nodes: int = 512) -> np.ndarra
     def log_f(z):
         # F(z) = (-z/a1; q)_inf * (1+z)^{N-1} * (u + 1/z)^T, taken as logs
         val = np.zeros_like(z)
-        b = 1.0 / s.a1
-        while b >= BETA_FACTOR_TOL:
+        for b in s.geometric_betas():
             val = val + np.log1p(b * z)
-            b *= s.q
         val = val + (s.N - 1) * np.log(1.0 + z)
         val = val + s.T * np.log(s.u + 1.0 / z)
         return val
@@ -413,12 +415,12 @@ class AsymptoticsReport:
         return "\n".join(lines) + "\n"
 
 
-def ks_distance_to_tw(standardized: np.ndarray, n_nodes: int = 48) -> float:
+def ks_distance_to_tw(standardized: np.ndarray) -> float:
     """Kolmogorov distance between the empirical law of -standardized and
     F_GUE (sign convention: P(standardized >= -r) -> F_GUE(r))."""
     vals = np.sort(-np.asarray(standardized, dtype=float))
     n = len(vals)
-    Ft = np.array([tracy_widom_cdf(v, n_nodes) for v in vals])
+    Ft = np.array([tracy_widom_cdf(v) for v in vals])
     upper = np.abs(np.arange(1, n + 1) / n - Ft)
     lower = np.abs(np.arange(0, n) / n - Ft)
     return float(max(upper.max(), lower.max()))

@@ -108,7 +108,6 @@ class HeightField:
     n_max: int
     t_max: int
     values: np.ndarray
-    exit_bound: float = 0.0
 
     def h(self, N: int, T: int) -> int:
         if not (1 <= N <= self.n_max + 1 and 0 <= T <= self.t_max):
@@ -132,19 +131,6 @@ def _window_check(p: ModelParams, window):
         raise ValueError(f"window too small: {window}")
     check_window(p, n_max, t_max)
     return n_max, t_max
-
-
-def _horizontal_exit_bound(p: ModelParams, n_max: int, t_max: int) -> float:
-    """Upper bound on the probability that any path crosses the whole window
-    horizontally (per-vertex right-passing probability is maximal at g=0)."""
-    total = 0.0
-    for t in range(t_max):
-        u = p.u[t]
-        prob = 1.0
-        for n in range(n_max):
-            prob *= (p.nu[n] - p.a[n] * u) / (1.0 - p.a[n] * u)
-        total += prob
-    return total
 
 
 def sample_quadrant(
@@ -181,9 +167,7 @@ def sample_quadrant(
         for N in range(n_max, 0, -1):
             suffix += m[N - 1]
             values[T, N - 1] = suffix + exited
-    return HeightField(
-        n_max, t_max, values, exit_bound=_horizontal_exit_bound(p, n_max, t_max)
-    )
+    return HeightField(n_max, t_max, values)
 
 
 def sample_quadrant_batch(
@@ -240,9 +224,9 @@ def _check_u_distinct(u):
 
 
 def _symmetrize(parts, u, nu, q: float, slot) -> float:
-    """The T!-term symmetrization shared by f_stoch and f_tilde: the sum over
-    permutations sigma of prod_{al<be} (u_sa - q u_sb) / (u_sa - u_sb) times
-    prod_i slot(parts[i], u_{sigma(i)}), with the multiplicity prefactor
+    """The T!-term symmetrization shared by F^stoch and Phi_M * F^stoch: the
+    sum over permutations sigma of prod_{al<be} (u_sa - q u_sb) / (u_sa - u_sb)
+    times prod_i slot(parts[i], u_{sigma(i)}), with the multiplicity prefactor
     prod_r (nu_r; q)_k / (q; q)_k."""
     t = len(parts)
     if t == 0:
@@ -295,7 +279,7 @@ def f_stoch(kappa, p: ModelParams, T: int) -> float:
 def _f_tilde_arrays(parts, u, a, nu, q: float, M: int) -> float:
     """Denominator-cleared weight Phi_M * F^stoch, with the (1 - a_j u) factors
     cancelled inside the symmetrand so the result is finite even at
-    a_j u_i = 1."""
+    a_j u_i = 1: a polynomial in the (a, nu) once M >= kappa_1."""
 
     def slot(r, us):
         return (
@@ -305,19 +289,6 @@ def _f_tilde_arrays(parts, u, a, nu, q: float, M: int) -> float:
         )
 
     return _symmetrize(parts, u, nu, q, slot)
-
-
-def f_tilde(kappa, p: ModelParams, T: int, M: int) -> float:
-    """Phi_M(u_1..u_T) * f_stoch(kappa): a polynomial in the (a, nu) once
-    M >= kappa_1."""
-    parts = tuple(Partition(tuple(kappa)).parts)
-    if len(parts) != T or (parts and parts[-1] < 1):
-        raise ValueError("kappa must have exactly T parts, all >= 1")
-    if parts and M < parts[0]:
-        raise ValueError(f"M = {M} must be >= kappa_1 = {parts[0]}")
-    if M > len(p.a):
-        raise ValueError("M exceeds available columns")
-    return _f_tilde_arrays(parts, p.u[:T], p.a, p.nu, p.q, M)
 
 
 def sum_f_stoch_truncated(p: ModelParams, T: int, N: int) -> float:

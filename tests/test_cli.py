@@ -199,6 +199,54 @@ def test_boundary_order_beyond_the_columns_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "r=9" in err and "4 columns" in err
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(pathlib.Path(vertexlab.__file__).parents[1])
+    code = "import sys, vertexlab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value by exiting
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv,seed_env,name",
+    [(["sample-vertex", "--config", "CONFIG", "--window", "4"], None, "--window"),
+     (["moments", "--config", "CONFIG", "--n-list", "a"], None, "--n-list"),
+     (["asymptotics", "--m-list", "x"], None, "--m-list"),
+     (["sample-vertex", "--config", "CONFIG"], "abc", "VERTEXLAB_SEED")],
+    ids=["window", "n-list", "m-list", "seed-env"],
+)
+def test_malformed_values_name_their_flag(argv, seed_env, name, config, tmp_path,
+                                          monkeypatch, capsys):
+    if seed_env is not None:
+        monkeypatch.setenv("VERTEXLAB_SEED", seed_env)
+    argv = [config if a == "CONFIG" else a for a in argv]
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_keys_the_code_does_not_read_are_usage_errors(config, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(config).read_text())
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({**doc, "gamma": 0.2}))
+    assert main(["sample-vertex", "--config", str(extra), "--window", "3,2"]) == 2
+    assert "'gamma'" in capsys.readouterr().err
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"checks": ["formal-identity"], "seed": 5}))
+    assert main(["verify", str(suite), "--out", str(tmp_path / "v")]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_verify_rejects_bad_seed_and_budget_scale(capsys, monkeypatch):
     assert main(["verify", "default", "--budget-scale", "0"]) == 2
     assert "budget_scale" in capsys.readouterr().err

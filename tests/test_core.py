@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from vertexlab.core import (
     params_to_config,
     pi_w,
     pi_w_coefficients,
-    poch_inf_tail_bound,
     q_pochhammer,
     validate_params,
 )
@@ -54,10 +54,6 @@ def test_q_binomial_theorem():
         assert abs(series - 1.0 / q_pochhammer(z, q, INFINITY)) < 1e-10
 
 
-def test_poch_tail_bound():
-    assert poch_inf_tail_bound(0.5, 0.5) < 1e-14
-
-
 def test_pi_w_examples():
     q = 0.5
     assert pi_w(0.7, Specialization(), q) == 1.0
@@ -87,7 +83,8 @@ def test_pi_w_coefficients_multiplicativity():
     r2 = Specialization(betas=(0.3,), gamma=0.4)
     c1 = pi_w_coefficients(r1, q, 12)
     c2 = pi_w_coefficients(r2, q, 12)
-    c12 = pi_w_coefficients(r1.concat(r2), q, 12)
+    r12 = Specialization(r1.alphas + r2.alphas, r1.betas + r2.betas, r1.gamma + r2.gamma)
+    c12 = pi_w_coefficients(r12, q, 12)
     conv = [
         sum(c1[i] * c2[n - i] for i in range(n + 1)) for n in range(13)
     ]
@@ -127,12 +124,12 @@ def test_validate_params_examples():
 
 def test_config_round_trip():
     p = ModelParams(q=0.5, u=(-1.0, -0.7), a=(1.0, 0.9), nu=(0.0, 0.3))
-    rho = Specialization(alphas=(0.1,), betas=(0.7, 2.0), gamma=0.2)
-    text = params_to_config(p, rho)
-    p2, rho2 = params_from_config(text)
-    assert p2 == p and rho2 == rho
-    p3, rho3 = params_from_config(params_to_config(p))
-    assert p3 == p and rho3 is None
+    assert params_from_config(params_to_config(p)) == p
+    # a key the code does not read is an error that names it
+    doc = json.loads(params_to_config(p))
+    for key in ("alphas", "gamma", "seed"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            params_from_config(json.dumps({**doc, key: 0.2}))
 
 
 # two columns and two rows of parameters; every call below needs a third

@@ -11,7 +11,6 @@ from vertexlab.diffops import (
     apply_W,
     operator_expectation,
     phi_m,
-    pi_n,
 )
 from vertexlab.vertex import _f_tilde_arrays, row_partitions
 
@@ -141,12 +140,6 @@ def test_phi_and_pi():
     p = _params()
     pt = EvaluablePoint(p.a, p.nu)
     assert phi_m(pt, (), 3) == 1.0
-    # Pi_1 with a_1 c_1 = 0.5
-    pt1 = EvaluablePoint((1.0,), (0.5,))
-    assert abs(pi_n(pt1, 0.5, 1) - 1 / q_pochhammer(0.5, 0.5, INFINITY)) < 1e-13
-    with pytest.raises(ValueError):
-        # a_1 c_2 = 2.0 * (0.9/0.5) = 3.6 >= 1 diverges
-        pi_n(EvaluablePoint((2.0, 0.5), (0.1, 0.9)), 0.5, 2)
 
 
 def test_operator_expectation_t0():

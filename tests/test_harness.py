@@ -82,9 +82,14 @@ def test_run_suite_dispatch_and_reports(tmp_path):
 
 def test_run_suite_json_spec(tmp_path):
     spec = tmp_path / "suite.json"
-    spec.write_text(json.dumps({"checks": ["formal-identity"], "seed": 5}))
-    code, results = run_suite(str(spec))
+    spec.write_text(json.dumps({"checks": ["formal-identity"]}))
+    code, results = run_suite(str(spec), seed=5)
     assert code == 0 and results[0].check_id == "formal-identity"
+    # the seed and the budget scale are arguments, never suite-file keys
+    for key in ("seed", "budget_scale"):
+        spec.write_text(json.dumps({"checks": ["formal-identity"], key: 5}))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            run_suite(str(spec))
 
 
 def test_run_suite_scales_default_budgets(tmp_path):
@@ -98,8 +103,8 @@ def test_run_suite_scales_default_budgets(tmp_path):
     _, results = run_suite(ids, seed=3, budget_scale=0.01)
     assert [r.payload() for r in results] == expected
     spec = tmp_path / "suite.json"
-    spec.write_text(json.dumps({"checks": ids, "seed": 3, "budget_scale": 0.01}))
-    _, results = run_suite(str(spec))
+    spec.write_text(json.dumps({"checks": ids}))
+    _, results = run_suite(str(spec), seed=3, budget_scale=0.01)
     assert [r.payload() for r in results] == expected
     # the scaled budgets differ from the defaults: 10, 1 and 1 draws
     assert expected != [harness.CHECKS[cid](seed=3).payload() for cid in ids]
@@ -163,9 +168,9 @@ def test_run_suite_rejects_nonpositive_budget_scale(scale, tmp_path):
     with pytest.raises(ValueError, match="budget_scale"):
         run_suite(["formal-identity"], budget_scale=scale)
     spec = tmp_path / "suite.json"
-    spec.write_text(json.dumps({"checks": ["formal-identity"], "budget_scale": scale}))
+    spec.write_text(json.dumps({"checks": ["formal-identity"]}))
     with pytest.raises(ValueError, match="budget_scale"):
-        run_suite(str(spec))
+        run_suite(str(spec), budget_scale=scale)
 
 
 def test_stream_rejects_out_of_range_keys():

@@ -162,6 +162,8 @@ def test_q_laplace_zero():
     p = _params()
     assert q_laplace(2, 2, p, 0.0, "VERTEX") == (1.0, 0.0)
     assert q_laplace(2, 2, p, 0.0, "QWHITTAKER") == (1.0, 0.0)
+    with pytest.raises(ValueError, match="BOGUS"):
+        q_laplace(2, 2, p, 0.0, "BOGUS")
 
 
 def test_q_laplace_n1_oracle():
@@ -177,6 +179,17 @@ def test_q_laplace_n1_oracle():
     # the reciprocal q-Pochhammer observable is >= 1 pointwise, so the
     # transform exceeds 1 for zeta > 0 and is bounded by 1/(zeta; q)_inf
     assert 1.0 <= val <= 1.0 / q_pochhammer(zeta, 0.5, INFINITY)
+
+
+def test_q_laplace_tail_bounds_the_omitted_terms():
+    # the moments are at most 1, so the terms the series leaves out from ell
+    # on are at most sum_{k >= ell} zeta^k / (q;q)_k, which the tail covers
+    q, zeta = 0.9, 0.03
+    p = ModelParams(q=q, u=(-1.0,), a=(0.9,), nu=(0.45,))
+    _, tail = q_laplace(1, 1, p, zeta, "QWHITTAKER")
+    coeffs = [zeta**k / q_pochhammer(q, q, k) for k in range(80)]
+    ell = next(k for k, c in enumerate(coeffs) if c < moments.QLAPLACE_SERIES_TOL)
+    assert tail >= sum(coeffs[ell:])
 
 
 def test_q_laplace_modes_agree():

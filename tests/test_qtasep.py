@@ -177,6 +177,15 @@ def test_transition_matrix_row_sums():
         assert abs(G.matrix[r].sum() + G.row_deficit[r] - 1.0) < 1e-11
 
 
+def test_transition_matrix_names_a_missing_move_parameter():
+    with pytest.raises(ValueError, match="alpha"):
+        transition_matrix("GEOM", (1.0,), 1, (-2, 2), beta=0.8, q=0.5)
+    with pytest.raises(ValueError, match="beta"):
+        transition_matrix("BER", (1.0,), 1, (-2, 2), alpha=0.3, q=0.5)
+    with pytest.raises(TypeError, match="'q'"):  # no default picks a model
+        transition_matrix("BER", (1.0,), 1, (-2, 2), beta=0.8)
+
+
 def test_commutation_example():
     a = (1.0, 0.9)
     q = 0.5

@@ -282,7 +282,7 @@ def test_ks_helper_consistent():
     F = np.array([tracy_widom_cdf(r, 24) for r in grid])
     u = rng.random(400)
     draws = np.interp(u, F, grid)
-    ks = ks_distance_to_tw(-draws, n_nodes=24)
+    ks = ks_distance_to_tw(-draws)
     assert ks < 0.08
 
 

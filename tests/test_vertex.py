@@ -7,8 +7,8 @@ from vertexlab.core import INFINITY, ModelParams
 from vertexlab.vertex import (
     STEP,
     STEP_BERNOULLI,
+    _f_tilde_arrays,
     f_stoch,
-    f_tilde,
     gen_step_bernoulli,
     row_partitions,
     sample_quadrant,
@@ -175,8 +175,12 @@ def test_u_collision_rejected():
 
 def test_f_tilde():
     p = _params(6, 3)
+
+    def f_tilde(kappa, T, M):
+        return _f_tilde_arrays(kappa, p.u[:T], p.a, p.nu, p.q, M)
+
     # T=1, kappa=(1), M=1 -> (1 - nu_1)
-    assert abs(f_tilde((1,), p, 1, 1) - (1 - p.nu[0])) < 1e-14
+    assert abs(f_tilde((1,), 1, 1) - (1 - p.nu[0])) < 1e-14
     # ratio f_tilde / f_stoch = Phi_M
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -187,10 +191,8 @@ def test_f_tilde():
             (1 - p.a[j] * p.u[i]) for i in range(T) for j in range(M)
         )
         fs = f_stoch(kappa, p, T)
-        ft = f_tilde(kappa, p, T, M)
+        ft = f_tilde(kappa, T, M)
         assert abs(ft - phi * fs) < 1e-11 * max(1.0, abs(phi * fs))
-    with pytest.raises(ValueError):
-        f_tilde((3,), p, 1, 2)  # M < kappa_1
 
 
 def test_f_stoch_matches_exact_row_dp():
@@ -221,14 +223,6 @@ def test_step_bernoulli_is_step_with_zero_nu():
     h1 = sample_quadrant(p, STEP, (6, 3), seed=9)
     h2 = sample_quadrant(p, STEP_BERNOULLI, (6, 3), seed=9)
     assert np.array_equal(h1.values, h2.values)
-
-
-def test_exit_bound_reported():
-    p = _params()
-    hf = sample_quadrant(p, STEP, (10, 4), seed=2)
-    assert 0.0 <= hf.exit_bound < 1.0
-    wide = sample_quadrant(p, STEP, (10, 2), seed=2)
-    assert wide.exit_bound <= hf.exit_bound  # fewer rows, less exit mass
 
 
 def test_row_partitions():
