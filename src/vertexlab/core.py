@@ -179,45 +179,6 @@ def check_window(p: ModelParams, n_cols: int, n_rows: int):
         )
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    basic_ok: bool
-    whittaker_ok: bool
-    nested_ok: bool
-    margin: float
-
-
-def validate_params(p: ModelParams, window: tuple) -> ValidityReport:
-    """Evaluate the three parameter-regime flags over window = (N_max, T_max).
-
-    basic_ok: a's and nu's bounded away from interval endpoints by eps
-    (exact zeros in nu are allowed; they encode boundary specializations).
-    whittaker_ok: a_i * c_j < 1 for all i, j in the window.
-    nested_ok: min a > q * max a over the window.
-    """
-    eps = 1e-6
-    n_max, t_max = window
-    check_window(p, n_max, t_max)
-    a = p.a[:n_max]
-    nu = p.nu[:n_max]
-    u = p.u[:t_max]
-
-    margins = [min(a)] + [1.0 - x for x in nu] + [x for x in nu if x > 0.0]
-    if u:
-        margins.append(min(-x for x in u))
-    margin = min(margins)
-
-    basic_ok = (
-        all(x >= eps for x in a)
-        and all(x == 0.0 or x >= eps for x in nu)
-        and all(x <= 1.0 - eps for x in nu)
-    )
-    c = [n / x for n, x in zip(nu, a)]
-    whittaker_ok = basic_ok and all(ai * cj < 1.0 for ai in a for cj in c)
-    nested_ok = basic_ok and min(a) > p.q * max(a)
-    return ValidityReport(basic_ok, whittaker_ok, nested_ok, margin)
-
-
 def params_digest(p: ModelParams) -> str:
     """Short stable digest of a parameter bundle, used in report records."""
     import hashlib
@@ -232,10 +193,19 @@ def params_to_config(p: ModelParams) -> str:
 
 
 def params_from_config(text: str) -> ModelParams:
-    """Parse config text.  A config holds the keys q, u, a and nu; any other
-    key is a ValueError naming it."""
+    """Parse config text, a JSON object of the number q and the number lists
+    u, a and nu; ValueError naming any unknown, missing or mistyped key."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be an object of q, u, a and nu, got {doc!r}")
     unknown = sorted(set(doc) - {"q", "u", "a", "nu"})
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown}: use q, u, a and nu")
-    return ModelParams(q=doc["q"], u=doc["u"], a=doc["a"], nu=doc["nu"])
+    for key in ("q", "u", "a", "nu"):
+        if key not in doc:
+            raise ValueError(f"config misses key {key!r}")
+        values = [doc[key]] if key == "q" else doc[key]
+        if type(values) is not list or any(type(v) not in (int, float) for v in values):
+            kind = "a number" if key == "q" else "a list of numbers"
+            raise ValueError(f"config key {key!r} must be {kind}, got {doc[key]!r}")
+    return ModelParams(**doc)

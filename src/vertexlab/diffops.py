@@ -8,6 +8,7 @@ q-shift lattice of the base point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,23 +99,20 @@ def phi_m(point: EvaluablePoint, u, M: int) -> float:
 def operator_expectation(N_list, T: int, M: int, p: ModelParams) -> float:
     """Product-form observable by the operator route:
     (D_{N_ell} ... D_{N_1} Phi_M) / Phi_M evaluated at the model's (a, nu),
-    with memoized evaluations on the q-shift lattice."""
+    with cached evaluations on the q-shift lattice."""
     N_list = _check_product_args(N_list, T, p)
     if M < N_list[0]:
         raise ValueError(f"M = {M} must be >= N_1 = {N_list[0]}")
     check_window(p, M, T)
     u = p.u[:T]
-    memo: dict = {}
 
+    @functools.cache
     def level_value(level: int, point: EvaluablePoint) -> float:
         if level == 0:
             return phi_m(point, u, M)
-        key = (level, point.a, point.nu)
-        if key not in memo:
-            memo[key] = apply_D(
-                lambda pt: level_value(level - 1, pt), N_list[level - 1], point, p.q
-            )
-        return memo[key]
+        return apply_D(
+            lambda pt: level_value(level - 1, pt), N_list[level - 1], point, p.q
+        )
 
     base = EvaluablePoint(p.a[:M], p.nu[:M])
     return level_value(len(N_list), base) / phi_m(base, u, M)

@@ -559,8 +559,9 @@ FULL_SUITE = list(CHECKS)
 def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
     """Run a list of checks (suite name, list of ids, or a JSON suite file
     {"checks": [...]}); returns (exit_code, results).  Writes per-check JSON
-    and a summary CSV when out_dir is given.  ValueError unless
-    budget_scale > 0, or if the suite file has another key."""
+    and a summary CSV when out_dir is given.  ValueError, before any check
+    runs, unless budget_scale > 0 and every scaled budget is finite, or if
+    the suite file is not an object whose one key "checks" lists check ids."""
     import pathlib
 
     if isinstance(spec, str):
@@ -570,23 +571,33 @@ def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
             check_ids = FULL_SUITE
         else:
             doc = json.loads(pathlib.Path(spec).read_text())
+            if not isinstance(doc, dict) or "checks" not in doc:
+                raise ValueError(f'suite file must be {{"checks": [...]}}, got {doc!r}')
             unknown = sorted(set(doc) - {"checks"})
             if unknown:
                 raise ValueError(f"unknown suite-file key(s) {unknown}: use checks")
             check_ids = doc["checks"]
+            if type(check_ids) is not list or any(type(c) is not str for c in check_ids):
+                raise ValueError(f"'checks' must list check ids, got {check_ids!r}")
     else:
         check_ids = list(spec)
     if not budget_scale > 0:
         raise ValueError(f"budget_scale must be > 0, got {budget_scale}")
-    results = []
+    calls = []
     for cid in check_ids:
         if cid not in CHECKS:
             raise KeyError(f"unknown check id {cid!r}")
         fn = CHECKS[cid]
         kwargs = {"seed": seed}
         if budget_scale != 1.0 and fn.default_budget is not None:
-            kwargs["budget"] = max(int(fn.default_budget * budget_scale), 1)
-        results.append(fn(**kwargs))
+            budget = fn.default_budget * budget_scale
+            if not math.isfinite(budget):
+                raise ValueError(
+                    f"budget_scale {budget_scale} makes the {cid} budget infinite"
+                )
+            kwargs["budget"] = max(int(budget), 1)
+        calls.append((fn, kwargs))
+    results = [fn(**kwargs) for fn, kwargs in calls]
     if out_dir is not None:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

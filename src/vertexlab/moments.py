@@ -11,6 +11,7 @@ validates the other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -146,7 +147,6 @@ def _nested_residue_sum_a(h_evals, h_poles, q: float) -> float:
     simple.
     """
     k = len(h_evals)
-    memo: dict = {}
 
     def cross(term: float, pole: float, others) -> float:
         """term times prod_w (pole - w) / (pole - q w) over the fixed values w."""
@@ -157,12 +157,10 @@ def _nested_residue_sum_a(h_evals, h_poles, q: float) -> float:
             term *= (pole - w) / den
         return term
 
+    @functools.cache
     def rec(j: int, fixed: tuple) -> float:
         if j == 0:
             return 1.0
-        key = (j, fixed)
-        if key in memo:
-            return memo[key]
         total = 0.0
         for pole, resval in h_poles[j - 1]:
             factor = cross(1.0, pole, fixed)
@@ -175,7 +173,6 @@ def _nested_residue_sum_a(h_evals, h_poles, q: float) -> float:
             )
             if term != 0.0:
                 total += term * rec(j - 1, tuple(sorted(fixed + (pole,))))
-        memo[key] = total
         return total
 
     return rec(k, ())
@@ -313,14 +310,10 @@ def moment_height_residues(N_list, T: int, p: ModelParams) -> float:
             return 1.0 / q
         return (v_fixed - pole) / (v_fixed - q * pole)
 
-    memo: dict = {}
-
+    @functools.cache
     def rec(j: int, fixed: tuple) -> float:
         if j > ell:
             return 1.0
-        key = (j, fixed)
-        if key in memo:
-            return memo[key]
         total = 0.0
         # pole at zero: residue of w^{-1} is 1, g_{N_j}(0) = 1
         factor = 1.0
@@ -336,7 +329,6 @@ def moment_height_residues(N_list, T: int, p: ModelParams) -> float:
                 factor *= cross(v, wt)
             if factor != 0.0:
                 total += factor * rec(j + 1, tuple(sorted(fixed + (wt,))))
-        memo[key] = total
         return total
 
     return q ** (ell * (ell - 1) // 2) * rec(1, ())

@@ -160,6 +160,15 @@ class TimeLikePath:
                 raise ValueError(f"unknown move {mv!r}")
         return cls(tuple(pts))
 
+    def window(self, p: ModelParams, L: int | None) -> int:
+        """Particle count L, by default the path's largest N; ValueError if L
+        is smaller or the path leaves p's parameter window."""
+        n_end = max(n for n, _ in self.points)
+        if L is not None and L < n_end:
+            raise ValueError("L too small for the path")
+        check_window(p, L or n_end, max(t for _, t in self.points))
+        return L or n_end
+
     def steps(self, p: ModelParams, r: int = 1):
         """The move of each path step, as (N', T', move, parameter): a
         T-step to T' is "BER" with beta = -u_{T'}, an N-step to N' is "GEOM"
@@ -212,20 +221,10 @@ def run_mixed(
     seed: int,
     L: int | None = None,
 ) -> Trajectory:
-    """Evolve the mixed geometric/Bernoulli q-TASEP along `path`.
-
-    A T-increment applies the Bernoulli move with beta = -u_{T'}; an
-    N-increment to N' applies the geometric move with alpha = c_{N'}.  The
-    recorded values are x_{N_t}(N_t, T_t) + N_t.
-    """
+    """Evolve the mixed geometric/Bernoulli q-TASEP along `path`, with the
+    moves of `TimeLikePath.steps`, recording x_{N_t}(N_t, T_t) + N_t."""
     rng = stream(seed, 0)
-    n_end = max(n for n, _ in path.points)
-    if L is None:
-        L = n_end
-    if L < n_end:
-        raise ValueError("L too small for the path")
-    check_window(p, L, max(t for _, t in path.points))
-    cfg = ParticleConfig.step(L)
+    cfg = ParticleConfig.step(path.window(p, L))
     moves = ["start"]
     configs = [cfg]
     xvals = [cfg.x[0] + 1]
@@ -280,64 +279,63 @@ def sample_mixed_batch(
     seed: int,
     L: int | None = None,
 ) -> np.ndarray:
-    """Vectorized mixed q-TASEP: N-1 geometric moves (alpha = c_2..c_N) and
-    T Bernoulli moves (beta = -u_1..-u_T) from the step configuration.
-    Jump laws and the blocking factor q^gap are cut at GEOM_TAIL_CUT (see
-    _geom_cdf_rows and _gap_cap).  Returns positions of shape (n_samples, L).
+    """Vectorized mixed q-TASEP from the step configuration along the path
+    N^{N-1} T^T, with the moves of `TimeLikePath.steps`.  Jump laws and q^gap
+    are cut at GEOM_TAIL_CUT (see _geom_cdf_rows and _gap_cap).  Returns
+    positions of shape (n_samples, L).
 
-    Each move draws one uniform per replica and particle, also for gap-0
-    particles, whose geometric jump is 0 without a table lookup.  In a
-    Bernoulli move the latest particle at or before i that jumps even when
-    blocked (code 2i+1) or stays even when pushed (code 2i) decides i's move:
-    i jumps iff the running maximum of the codes is odd."""
-    if L is None:
-        L = N
-    check_window(p, max(N, L), T)
+    Each move draws one uniform per replica and particle.  Only the first k
+    gaps can be positive (k = 0 at the start, +1 per geometric move, all
+    after a Bernoulli move), and only positive gaps get a table lookup.  In
+    a Bernoulli move the latest particle at or before i that jumps even when
+    blocked (code 2i+1) or stays even when pushed (code 2i) decides i's
+    move: i jumps iff the running maximum of the codes is odd."""
+    if N < 1 or T < 0:
+        raise ValueError(f"need N >= 1 and T >= 0, got N = {N}, T = {T}")
+    path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)
+    L = path.window(p, L)
     rng = stream(seed, 0)
     R = int(n_samples)
     a = np.array(p.a[:L])
-    c = p.c
     rates, bulk = set(p.a[:L]), set(p.a[1:L])
     X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
     tables = {}  # rate a_i * alpha -> (cdf table, rows laid out on [m, m+1))
     U = np.empty((R, L - 1))
-    for n in range(2, N + 1):
-        alpha = c[n - 1]
-        if alpha <= 0.0:
-            raise ValueError(f"geometric move needs nu_{n} > 0")
+    k_cap = _gap_cap(p.q)
+    qpow = p.q ** np.arange(k_cap + 1, dtype=np.float64)
+    idx2 = np.arange(2, 2 * L + 1, 2, dtype=np.int32)
+    V, A = np.empty((R, L)), np.empty((R, L), dtype=bool)
+    k = 0
+    for _, _, move, param in path.steps(p):
+        if move == "BER":
+            p_jump = a * param / (1.0 + a * param)
+            rng.random(out=V)
+            gaps = np.minimum(X[:, :-1] - X[:, 1:] - 1, k_cap)
+            np.less(V[:, 0], p_jump[0], out=A[:, 0])
+            np.less(V[:, 1:], p_jump[1:] * (1.0 - qpow[gaps]), out=A[:, 1:])
+            code = ((V >= p_jump) | A) * idx2 + A
+            X += np.maximum.accumulate(code, axis=1) & 1
+            k = L - 1
+            continue
         for ai in rates:
-            if ai * alpha >= 1.0:
-                raise ValueError(f"rate violation: a*alpha = {ai * alpha} >= 1")
-            if ai * alpha not in tables:
-                cdf = _geom_cdf_rows(ai * alpha, p.q)
-                tables[ai * alpha] = (cdf, (cdf + np.arange(len(cdf))[:, None]).ravel())
+            if ai * param >= 1.0:
+                raise ValueError(f"rate violation: a*alpha = {ai * param} >= 1")
+            if ai * param not in tables:
+                cdf = _geom_cdf_rows(ai * param, p.q)
+                tables[ai * param] = (cdf, (cdf + np.arange(len(cdf))[:, None]).ravel())
         rng.random(out=U)
-        # from the step configuration only the first n-2 gaps can be positive
-        k = min(n - 2, L - 1)
         gaps = X[:, :k] - X[:, 1 : k + 1] - 1
         for ai in bulk:
             free = (gaps > 0) & (a[1 : k + 1] == ai)
-            cdf, flat = tables[ai * alpha]
+            cdf, flat = tables[ai * param]
             m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
             g = gaps[free]
             rows = np.minimum(g, m_cap)
             u_draw = np.minimum(U[:, :k][free], 1 - 1e-16)
             j = np.searchsorted(flat, rows + u_draw) - rows * width
             X[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
-        X[:, 0] += np.searchsorted(tables[a[0] * alpha][0][-1], rng.random(R))
-    k_cap = _gap_cap(p.q)
-    qpow = p.q ** np.arange(k_cap + 1, dtype=np.float64)
-    idx2 = np.arange(2, 2 * L + 1, 2, dtype=np.int32)
-    V, A = np.empty((R, L)), np.empty((R, L), dtype=bool)
-    for t in range(T):
-        beta = -p.u[t]
-        p_jump = a * beta / (1.0 + a * beta)
-        rng.random(out=V)
-        gaps = np.minimum(X[:, :-1] - X[:, 1:] - 1, k_cap)
-        np.less(V[:, 0], p_jump[0], out=A[:, 0])
-        np.less(V[:, 1:], p_jump[1:] * (1.0 - qpow[gaps]), out=A[:, 1:])
-        code = ((V >= p_jump) | A) * idx2 + A
-        X += np.maximum.accumulate(code, axis=1) & 1
+        X[:, 0] += np.searchsorted(tables[a[0] * param][0][-1], rng.random(R))
+        k = min(k + 1, L - 1)
     return X
 
 

@@ -247,6 +247,21 @@ def test_keys_the_code_does_not_read_are_usage_errors(config, tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+def test_malformed_config_and_suite_files_are_usage_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"q": 0.5, "u": -1, "a": [1.0], "nu": [0.2]}')
+    assert main(["sample-vertex", "--config", str(bad), "--window", "1,1"]) == 2
+    assert "'u' must be a list of numbers" in capsys.readouterr().err
+    bad.write_text("5")
+    assert main(["sample-vertex", "--config", str(bad), "--window", "1,1"]) == 2
+    assert "config must be an object" in capsys.readouterr().err
+    assert main(["verify", str(bad)]) == 2
+    assert "suite file must be" in capsys.readouterr().err
+    bad.write_text('{"checks": "lln"}')
+    assert main(["verify", str(bad)]) == 2
+    assert "'checks' must list check ids" in capsys.readouterr().err
+
+
 def test_verify_rejects_bad_seed_and_budget_scale(capsys, monkeypatch):
     assert main(["verify", "default", "--budget-scale", "0"]) == 2
     assert "budget_scale" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from vertexlab.core import (
     pi_w,
     pi_w_coefficients,
     q_pochhammer,
-    validate_params,
 )
 from vertexlab import coupling, diffops, moments, qtasep, vertex
 
@@ -110,18 +109,6 @@ def test_model_params_validation():
         ModelParams(q=0.5, u=(-1,), a=(1.0,), nu=(1.0,))
 
 
-def test_validate_params_examples():
-    p = ModelParams(q=0.5, u=(-1.0,), a=(1.0,), nu=(0.5,))
-    rep = validate_params(p, (1, 1))
-    assert rep.basic_ok and rep.whittaker_ok and rep.nested_ok
-    # nu close to 1 fails basic
-    p2 = ModelParams(q=0.5, u=(-1.0,), a=(1.0,), nu=(1.0 - 1e-9,))
-    assert not validate_params(p2, (1, 1)).basic_ok
-    # a = (1, 0.4), q = 0.5: nested fails (0.4 <= 0.5)
-    p3 = ModelParams(q=0.5, u=(-1.0,), a=(1.0, 0.4), nu=(0.2, 0.2))
-    assert not validate_params(p3, (2, 1)).nested_ok
-
-
 def test_config_round_trip():
     p = ModelParams(q=0.5, u=(-1.0, -0.7), a=(1.0, 0.9), nu=(0.0, 0.3))
     assert params_from_config(params_to_config(p)) == p
@@ -130,6 +117,23 @@ def test_config_round_trip():
     for key in ("alphas", "gamma", "seed"):
         with pytest.raises(ValueError, match=f"'{key}'"):
             params_from_config(json.dumps({**doc, key: 0.2}))
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"q": 0.5, "u": [-1.0], "a": [1.0]}', "config misses key 'nu'"),
+        ("[1, 2]", "config must be an object"),
+        ("5", "config must be an object"),
+        ('{"q": 0.5, "u": -1, "a": [1.0], "nu": [0.2]}', "'u' must be a list of numbers"),
+        ('{"q": "0.5", "u": [-1.0], "a": [1.0], "nu": [0.2]}', "'q' must be a number"),
+        ('{"q": 0.5, "u": [-1.0], "a": [1.0], "nu": [null]}', "'nu' must be a list"),
+    ],
+    ids=["missing-key", "list", "scalar", "u-scalar", "q-string", "nu-null"],
+)
+def test_malformed_config_is_value_error(doc, message):
+    with pytest.raises(ValueError, match=message):
+        params_from_config(doc)
 
 
 # two columns and two rows of parameters; every call below needs a third
@@ -151,11 +155,10 @@ _T3 = qtasep.TimeLikePath.from_moves("TTT")
         lambda: vertex.sample_quadrant_batch(_P2, vertex.STEP, (3, 1), 5, 0),
         lambda: moments.moment_product_quadrature((3,), 1, _P2),
         lambda: diffops.operator_expectation((1,), 1, 3, _P2),
-        lambda: validate_params(_P2, (1, 3)),
     ],
     ids=["mixed-N", "mixed-T", "mixed-L", "run-mixed-L", "run-mixed-T",
          "coupling-T", "sum-f-stoch-N", "sum-f-stoch-T", "quadrant", "moments",
-         "operator", "validate"],
+         "operator"],
 )
 def test_window_beyond_parameters_is_value_error(call):
     with pytest.raises(ValueError, match="window exceeds available parameters: needs"):

@@ -13,7 +13,6 @@ from vertexlab.harness import (
     draw_params,
     run_suite,
 )
-from vertexlab.core import validate_params
 from vertexlab.rng import offset_seed, stream
 
 
@@ -56,8 +55,10 @@ def test_draw_params_regimes():
     rng = stream(0, 0)
     for _ in range(25):
         p = draw_params(rng, 5, 3)
-        rep = validate_params(p, (5, 3))
-        assert rep.basic_ok and rep.whittaker_ok and rep.nested_ok
+        # the moment and q-Whittaker routes need a_i c_j < 1, the nested
+        # contours min a > q max a
+        assert max(p.a) * max(p.c) < 1.0
+        assert min(p.a) > p.q * max(p.a)
 
 
 def test_run_suite_empty_and_unknown():
@@ -171,6 +172,29 @@ def test_run_suite_rejects_nonpositive_budget_scale(scale, tmp_path):
     spec.write_text(json.dumps({"checks": ["formal-identity"]}))
     with pytest.raises(ValueError, match="budget_scale"):
         run_suite(str(spec), budget_scale=scale)
+
+
+@pytest.mark.parametrize("scale", [math.inf, 1e308])
+def test_run_suite_rejects_infinite_scaled_budgets(scale):
+    with pytest.raises(ValueError, match="budget infinite"):
+        run_suite(["formal-identity"], budget_scale=scale)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("5", "suite file must be"),
+        ("{}", "suite file must be"),
+        ('{"checks": 5}', "'checks' must list check ids, got 5"),
+        ('{"checks": "lln"}', "'checks' must list check ids, got 'lln'"),
+    ],
+    ids=["scalar", "no-checks", "checks-scalar", "checks-string"],
+)
+def test_malformed_suite_file_is_value_error(doc, message, tmp_path):
+    spec = tmp_path / "suite.json"
+    spec.write_text(doc)
+    with pytest.raises(ValueError, match=message):
+        run_suite(str(spec))
 
 
 def test_stream_rejects_out_of_range_keys():

@@ -291,6 +291,23 @@ def test_sample_mixed_batch_bernoulli_only_with_spectators():
         assert abs(emp.get(cfg, 0.0) - want) < 5 * se + 1e-9
 
 
+def test_sample_mixed_batch_checks_the_path_as_run_mixed_does():
+    p = ModelParams(q=0.5, u=(-1.0, -0.8), a=(1.0, 0.9, 1.1), nu=(0.2, 0.3, 0.4))
+    with pytest.raises(ValueError, match="L too small for the path"):
+        sample_mixed_batch(p, 3, 1, 5, 0, L=2)
+    with pytest.raises(ValueError, match="L too small for the path"):
+        run_mixed(TimeLikePath.from_moves("NNT"), p, 0, L=2)
+    with pytest.raises(ValueError, match="need N >= 1 and T >= 0"):
+        sample_mixed_batch(p, 0, 1, 5, 0)
+    # nu_2 = 0 leaves the geometric move to N = 2 without a rate
+    p0 = ModelParams(q=0.5, u=(-1.0,), a=(1.0, 0.9), nu=(0.2, 0.0))
+    message = r"geometric move needs nu_2 > 0 \(alpha = 0.0\)"
+    with pytest.raises(ValueError, match=message):
+        sample_mixed_batch(p0, 2, 1, 5, 0)
+    with pytest.raises(ValueError, match=message):
+        run_mixed(TimeLikePath.from_moves("NT"), p0, 0)
+
+
 @pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.95, 0.5), (0.05, 0.95), (0.83, 0.3)])
 def test_geom_cdf_rows_exact_and_cut_at_tail(alpha, q):
     cdf = _geom_cdf_rows(alpha, q)
