@@ -45,6 +45,17 @@ def _int_list(text: str) -> tuple:
         ) from None
 
 
+def _replicas(text: str) -> int:
+    """argparse type of --replicas: an integer >= 1."""
+    try:
+        replicas = int(text)
+    except ValueError:
+        replicas = 0
+    if replicas < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return replicas
+
+
 def _window(text: str) -> tuple:
     """argparse type of --window: N_max,T_max."""
     window = _int_list(text)
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, default=1.0)
     sp.add_argument("--tau", type=float, default=2.0)
     sp.add_argument("--m-list", type=_int_list, default="400")
-    sp.add_argument("--replicas", type=int, default=200)
+    sp.add_argument("--replicas", type=_replicas, default=200)
     sp.set_defaults(fn=cmd_asymptotics)
 
     sp = sub.add_parser("verify", help="run a verification suite")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 INFINITY = float("inf")
@@ -177,6 +178,15 @@ def check_window(p: ModelParams, n_cols: int, n_rows: int):
             f"window exceeds available parameters: needs {n_cols} columns and "
             f"{n_rows} rows, has {len(p.a)} and {len(p.u)}"
         )
+
+
+def replica_count(n_samples) -> int:
+    """n_samples as an int; ValueError naming it unless it is an integer
+    >= 0 (a bool is not)."""
+    integral = isinstance(n_samples, numbers.Integral) and not isinstance(n_samples, bool)
+    if not integral or n_samples < 0:
+        raise ValueError(f"n_samples must be an integer >= 0, got {n_samples!r}")
+    return int(n_samples)
 
 
 def params_digest(p: ModelParams) -> str:

@@ -8,17 +8,30 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, check_window, q_pochhammer
-from .rng import stream
+from .core import INFINITY, ModelParams, check_window, q_pochhammer, replica_count
+from .rng import _draws_at, stream
 
 # Inverse-CDF sampling of the infinite-gap jump law is cut once the
 # cumulative mass reaches 1 - GEOM_TAIL_CUT; the cut is certified by the
 # geometric decay alpha^j of the weights.
 GEOM_TAIL_CUT = 1e-14
+
+# A chunk of replica rows draws at most this many uniforms a move (rows x L),
+# and a larger batch is cut into at least one chunk per CPU; a batch that fits
+# in one chunk runs on the calling thread.  Measured on a 2-core host: two
+# threads were slower than one below about 24,000 uniforms a move and faster
+# from 32,000 (starting them costs 1-1.5 ms a call); at M = 1000 with 500
+# replicas on the Tracy-Widom path, chunks of 2^15 uniforms took 26 s, 2^16
+# took 29 s and one chunk per CPU 31 s.  The bound also caps the temporaries
+# that each worker's malloc arena keeps after the call: with one chunk per CPU
+# the default suite's peak RSS rose by 37 MB, with this bound by 3.5 MB.
+_CHUNK_UNIFORMS = 2**15
 
 
 def q_geom_pmf(m, alpha: float, q: float, j: int) -> float:
@@ -271,6 +284,12 @@ def _geom_cdf_rows(alpha: float, q: float) -> np.ndarray:
     return np.cumsum(table, axis=1)
 
 
+def _chunk_count() -> int:
+    """Fewest replica chunks of a batch above _CHUNK_UNIFORMS: one per CPU
+    this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def sample_mixed_batch(
     p: ModelParams,
     N: int,
@@ -289,33 +308,31 @@ def sample_mixed_batch(
     after a Bernoulli move), and only positive gaps get a table lookup.  In
     a Bernoulli move the latest particle at or before i that jumps even when
     blocked (code 2i+1) or stays even when pushed (code 2i) decides i's
-    move: i jumps iff the running maximum of the codes is odd."""
+    move: i jumps iff the running maximum of the codes is odd.
+
+    Move m reads the R * L uniforms at positions m * R * L onward of
+    stream(seed, 0), row by row: R x L for a Bernoulli move, R x (L - 1) for
+    particles 2..L and then R for particle 1 for a geometric move.  A chunk
+    of rows reads its own part of that range by position (rng._draws_at), so
+    a batch above _CHUNK_UNIFORMS uniforms a move runs as chunks of at most
+    that many, at least one per CPU, on one thread per CPU, and the bits do
+    not depend on the split."""
+    R = replica_count(n_samples)
     if N < 1 or T < 0:
         raise ValueError(f"need N >= 1 and T >= 0, got N = {N}, T = {T}")
     path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)
     L = path.window(p, L)
     rng = stream(seed, 0)
-    R = int(n_samples)
     a = np.array(p.a[:L])
     rates, bulk = set(p.a[:L]), set(p.a[1:L])
-    X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
     tables = {}  # rate a_i * alpha -> (cdf table, rows laid out on [m, m+1))
-    U = np.empty((R, L - 1))
-    k_cap = _gap_cap(p.q)
-    qpow = p.q ** np.arange(k_cap + 1, dtype=np.float64)
-    idx2 = np.arange(2, 2 * L + 1, 2, dtype=np.int32)
-    V, A = np.empty((R, L)), np.empty((R, L), dtype=bool)
-    k = 0
+    # per move: (move, parameter, (a_i, cdf table, laid-out rows) per bulk
+    # rate, particle 1's cdf row), the tables built here, before any worker
+    # starts, and only for geometric moves
+    moves = []
     for _, _, move, param in path.steps(p):
         if move == "BER":
-            p_jump = a * param / (1.0 + a * param)
-            rng.random(out=V)
-            gaps = np.minimum(X[:, :-1] - X[:, 1:] - 1, k_cap)
-            np.less(V[:, 0], p_jump[0], out=A[:, 0])
-            np.less(V[:, 1:], p_jump[1:] * (1.0 - qpow[gaps]), out=A[:, 1:])
-            code = ((V >= p_jump) | A) * idx2 + A
-            X += np.maximum.accumulate(code, axis=1) & 1
-            k = L - 1
+            moves.append((move, param, None, None))
             continue
         for ai in rates:
             if ai * param >= 1.0:
@@ -323,19 +340,54 @@ def sample_mixed_batch(
             if ai * param not in tables:
                 cdf = _geom_cdf_rows(ai * param, p.q)
                 tables[ai * param] = (cdf, (cdf + np.arange(len(cdf))[:, None]).ravel())
-        rng.random(out=U)
-        gaps = X[:, :k] - X[:, 1 : k + 1] - 1
-        for ai in bulk:
-            free = (gaps > 0) & (a[1 : k + 1] == ai)
-            cdf, flat = tables[ai * param]
-            m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
-            g = gaps[free]
-            rows = np.minimum(g, m_cap)
-            u_draw = np.minimum(U[:, :k][free], 1 - 1e-16)
-            j = np.searchsorted(flat, rows + u_draw) - rows * width
-            X[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
-        X[:, 0] += np.searchsorted(tables[a[0] * param][0][-1], rng.random(R))
-        k = min(k + 1, L - 1)
+        bulk_tables = [(ai, *tables[ai * param]) for ai in bulk]
+        moves.append((move, param, bulk_tables, tables[a[0] * param][0][-1]))
+    X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
+    k_cap = _gap_cap(p.q)
+    qpow = p.q ** np.arange(k_cap + 1, dtype=np.float64)
+    idx2 = np.arange(2, 2 * L + 1, 2, dtype=np.int32)
+
+    def _advance_rows(r0: int, r1: int, rng: np.random.Generator):
+        """Run every move on rows [r0, r1) of X.  It calls only numpy and
+        private helpers, so it may run on a worker thread."""
+        Xr = X[r0:r1]
+        V, A = np.empty((r1 - r0, L)), np.empty((r1 - r0, L), dtype=bool)
+        U, first = np.empty((r1 - r0, L - 1)), np.empty(r1 - r0)
+        k = 0
+        for m, (move, param, bulk_tables, first_cdf) in enumerate(moves):
+            start = m * R * L
+            if move == "BER":
+                p_jump = a * param / (1.0 + a * param)
+                _draws_at(rng, start + r0 * L, V)
+                gaps = np.minimum(Xr[:, :-1] - Xr[:, 1:] - 1, k_cap)
+                np.less(V[:, 0], p_jump[0], out=A[:, 0])
+                np.less(V[:, 1:], p_jump[1:] * (1.0 - qpow[gaps]), out=A[:, 1:])
+                code = ((V >= p_jump) | A) * idx2 + A
+                Xr += np.maximum.accumulate(code, axis=1) & 1
+                k = L - 1
+                continue
+            _draws_at(rng, start + r0 * (L - 1), U)
+            gaps = Xr[:, :k] - Xr[:, 1 : k + 1] - 1
+            for ai, cdf, flat in bulk_tables:
+                free = (gaps > 0) & (a[1 : k + 1] == ai)
+                m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
+                g = gaps[free]
+                rows = np.minimum(g, m_cap)
+                u_draw = np.minimum(U[:, :k][free], 1 - 1e-16)
+                j = np.searchsorted(flat, rows + u_draw) - rows * width
+                Xr[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
+            _draws_at(rng, start + R * (L - 1) + r0, first)
+            Xr[:, 0] += np.searchsorted(first_cdf, first)
+            k = min(k + 1, L - 1)
+
+    n = min(R, max(_chunk_count(), -(-R * L // _CHUNK_UNIFORMS)))
+    if n < 2 or R * L <= _CHUNK_UNIFORMS:
+        _advance_rows(0, R, rng)
+        return X
+    bounds = [R * i // n for i in range(n + 1)]
+    rngs = [rng] + [stream(seed, 0) for _ in range(n - 1)]
+    with ThreadPoolExecutor(min(n, len(os.sched_getaffinity(0)))) as pool:
+        list(pool.map(_advance_rows, bounds[:-1], bounds[1:], rngs))
     return X
 
 

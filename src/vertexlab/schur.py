@@ -484,7 +484,9 @@ def asymptotics_experiment(
 ) -> AsymptoticsReport:
     """Simulate x_{eta M}(eta M, tau M) across M in m_list; report the
     empirical law against the limit shape and (in the curved regime) the
-    Tracy-Widom distribution."""
+    Tracy-Widom distribution.  ValueError unless replicas >= 1."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
     x_th = limit_shape(eta, tau, u)
     cd = critical_point(eta, tau, u)
     samples = {}

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, Partition, check_window, q_pochhammer
+from .core import (
+    INFINITY, ModelParams, Partition, check_window, q_pochhammer, replica_count
+)
 from .rng import stream
 
 U_COLLISION_TOL = 1e-12
@@ -175,10 +177,10 @@ def sample_quadrant_batch(
 ) -> np.ndarray:
     """Vectorized sampler: returns heights of shape (n_samples, t_max+1, n_max+1)
     with heights[s, T, N-1] = h(N, T).  Used by the Monte Carlo checks."""
+    S = replica_count(n_samples)
     boundary.validate(p)
     n_max, t_max = _window_check(p, window)
     rng = stream(seed, 0)
-    S = int(n_samples)
     m = np.zeros((n_max, S), dtype=np.int32)
     suffix = np.empty_like(m)
     # heights are at most t_max; int16 halves the memory of large batches

@@ -221,8 +221,10 @@ def _exit_code(argv) -> int:
     [(["sample-vertex", "--config", "CONFIG", "--window", "4"], None, "--window"),
      (["moments", "--config", "CONFIG", "--n-list", "a"], None, "--n-list"),
      (["asymptotics", "--m-list", "x"], None, "--m-list"),
+     (["asymptotics", "--m-list", "10", "--replicas", "0"], None, "--replicas"),
+     (["asymptotics", "--m-list", "10", "--replicas", "-3"], None, "--replicas"),
      (["sample-vertex", "--config", "CONFIG"], "abc", "VERTEXLAB_SEED")],
-    ids=["window", "n-list", "m-list", "seed-env"],
+    ids=["window", "n-list", "m-list", "replicas-0", "replicas-negative", "seed-env"],
 )
 def test_malformed_values_name_their_flag(argv, seed_env, name, config, tmp_path,
                                           monkeypatch, capsys):

@@ -163,3 +163,17 @@ _T3 = qtasep.TimeLikePath.from_moves("TTT")
 def test_window_beyond_parameters_is_value_error(call):
     with pytest.raises(ValueError, match="window exceeds available parameters: needs"):
         call()
+
+
+@pytest.mark.parametrize("n_samples", [-1, 2.7, True, "3", None])
+@pytest.mark.parametrize(
+    "sampler",
+    [lambda n: qtasep.sample_mixed_batch(_P2, 2, 2, n, 0),
+     lambda n: vertex.sample_quadrant_batch(_P2, vertex.STEP, (2, 2), n, 0)],
+    ids=["mixed", "quadrant"],
+)
+def test_replica_count_must_be_a_nonnegative_integer(sampler, n_samples):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 0"):
+        sampler(n_samples)
+    assert sampler(np.int64(3)).shape[0] == 3
+    assert sampler(0).shape[0] == 0

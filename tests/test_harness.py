@@ -13,7 +13,7 @@ from vertexlab.harness import (
     draw_params,
     run_suite,
 )
-from vertexlab.rng import offset_seed, stream
+from vertexlab.rng import _draws_at, offset_seed, stream
 
 
 def test_chi2_gof_calibration():
@@ -213,6 +213,17 @@ def test_stream_keys_keep_every_bit_of_large_seeds():
         warnings.simplefilter("error")
         assert stream(2**63, 5).random() != stream(2**63 + 1, 5).random()
         assert stream(2**64 - 1, 12).random() != stream(2**64 - 2, 12).random()
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_draws_at_reads_the_stream_by_position(seed):
+    for stream_id in (0, 12):
+        for start, n in [(0, 1), (0, 9), (1, 1), (3, 6), (6, 1), (13, 4), (4097, 3)]:
+            gen = stream(seed, stream_id)
+            gen.random(5)  # what the generator drew before does not matter
+            got = _draws_at(gen, start, np.empty(n))
+            want = stream(seed, stream_id).random(start + n)[start:]
+            assert np.array_equal(got, want)
 
 
 def test_derived_seeds_wrap_at_top_of_range():

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from vertexlab import harness, qtasep
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.qtasep import (
     GEOM_TAIL_CUT,
@@ -306,6 +309,55 @@ def test_sample_mixed_batch_checks_the_path_as_run_mixed_does():
         sample_mixed_batch(p0, 2, 1, 5, 0)
     with pytest.raises(ValueError, match=message):
         run_mixed(TimeLikePath.from_moves("NT"), p0, 0)
+
+
+def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
+    pools = []
+
+    class RecordingPool(qtasep.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def chunked(cpus, chunk_uniforms, p, N, T, R, seed, L):
+        monkeypatch.setattr(qtasep, "_chunk_count", lambda: cpus)
+        monkeypatch.setattr(qtasep, "_CHUNK_UNIFORMS", max(chunk_uniforms, 1))
+        return sample_mixed_batch(p, N, T, R, seed, L=L)
+
+    monkeypatch.setattr(qtasep, "ThreadPoolExecutor", RecordingPool)
+    distinct = harness.draw_params(stream(8, 0), 6, 4, bernoulli=True)
+    repeated = ModelParams(q=0.45, u=(-1.1,) * 5, a=(1.0, 0.8) * 3,
+                           nu=(0.0,) + (0.32, 0.4) * 2 + (0.32,))
+    tw = ModelParams(q=0.5, u=(-1.0,) * 12, a=(1.0,) * 6, nu=(0.0,) + (0.5,) * 5)
+    cases = [  # (params, N, T, R, seed, L)
+        (distinct, 4, 4, 5, 1, None),  # fewer replicas than 7 chunks
+        (distinct, 3, 2, 0, 2, 5),  # no replica
+        (distinct, 1, 4, 40, 3, 6),  # N = 1: Bernoulli moves only, L > N
+        (distinct, 5, 0, 41, 2**64 - 1, None),  # T = 0: geometric moves only
+        (repeated, 6, 5, 30, 5, None),
+        (tw, 6, 12, 23, 6, None),  # the Tracy-Widom parameters at M = 6
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter lock far more often
+    try:
+        for p, N, T, R, seed, L in cases:
+            size = R * (L or N)  # uniforms a move
+            want = chunked(1, size, p, N, T, R, seed, L)  # one chunk, no thread
+            assert want.shape == (R, L or N)
+            # min(R, cpus) chunks, then about 4 chunks on one CPU
+            for cpus, chunk_uniforms in ((2, size - 1), (3, size - 1), (7, size - 1),
+                                         (1, size // 4)):
+                got = chunked(cpus, chunk_uniforms, p, N, T, R, seed, L)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+    # never more threads than CPUs
+    assert pools and max(pools) <= len(os.sched_getaffinity(0))
+    # a_1 * c_2 = 1.5: the rate violation is raised before any worker starts
+    bad = ModelParams(q=0.5, u=(-1.0,), a=(3.0, 1.0), nu=(0.0, 0.5))
+    for cpus in (1, 2, 7):
+        with pytest.raises(ValueError, match=r"rate violation: a\*alpha = 1.5 >= 1"):
+            chunked(cpus, 1, bad, 2, 1, 50, 0, None)
 
 
 @pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.95, 0.5), (0.05, 0.95), (0.83, 0.3)])

@@ -267,6 +267,13 @@ def test_asymptotics_report_formats():
     }
 
 
+def test_asymptotics_needs_a_replica():
+    from vertexlab.schur import asymptotics_experiment
+
+    with pytest.raises(ValueError, match="replicas must be >= 1, got 0"):
+        asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, [30], 0, seed=4)
+
+
 def test_flat_regime_mean():
     M = 150
     xs = _special_x(0.5, -1.0, 1.0, M, M // 2, 100, seed=5)
