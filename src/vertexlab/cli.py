@@ -73,16 +73,19 @@ def _emit(args, default_name: str, text: str):
         sys.stdout.write(text)
 
 
-def _parse_boundary(spec: str) -> vertex.Boundary:
+def _parse_boundary(spec: str) -> int:
     if spec == "step":
         return vertex.STEP
     if spec == "step-bernoulli":
         return vertex.STEP_BERNOULLI
     if spec.startswith("gen-step-bernoulli:"):
         try:
-            return vertex.gen_step_bernoulli(int(spec.split(":", 1)[1]))
+            r = int(spec.split(":", 1)[1])
+            if r < 1:
+                raise ValueError("generalized step-Bernoulli order must be >= 1")
         except ValueError as exc:
             raise ValueError(f"--boundary {spec!r}: {exc}") from None
+        return r
     raise ValueError(
         f"unknown --boundary {spec!r}: use step, step-bernoulli or "
         "gen-step-bernoulli:R"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import INFINITY, ModelParams, check_window, params_digest
 from .qtasep import EXACT_TAIL_CUT, ParticleConfig, TimeLikePath, bernoulli_law
 from .qtasep import gaps, geometric_law, q_geom_law
-from .vertex import Boundary, vertex_weight_row
+from .vertex import check_boundary, vertex_weight_row
 
 # Infinite-support jump laws are cut at cumulative 1 - qtasep.EXACT_TAIL_CUT,
 # the DP drops joint weights below PRUNE_FLOOR, and a check passes when TV +
@@ -241,9 +241,12 @@ def theorem_coupling_check(
 ) -> CouplingReport:
     """TV distance between the exact joint law of the height values
     h(N_t + r, T_t) along the path (step-Bernoulli of order r) and the exact
-    joint law of the shifted mixed q-TASEP particles X(P)."""
+    joint law of the shifted mixed q-TASEP particles X(P).  The theorem needs
+    r >= 1: at r = 0 the observed particle x_{N_t - 1} would be x_0."""
+    if r < 1:
+        raise ValueError(f"coupling theorem needs a boundary order r >= 1, got r={r}")
     check_window(p, max(n for n, _ in path.points) + r, max(t for _, t in path.points))
-    Boundary(r).validate(p)
+    check_boundary(p, r)
     vertex_law = _vertex_joint_law(path, p, r)
     tasep_law, deficit = _tasep_joint_law(path, p, r)
     tv = _tv(vertex_law, tasep_law)

@@ -40,20 +40,25 @@ def _check_a_distinct(a, N: int):
                 raise ValueError(f"a collision: a[{i}] ~ a[{r}] = {a[i]}")
 
 
-def apply_W(f, N: int, point: EvaluablePoint, q: float) -> float:
-    """First q-Whittaker operator in a_1..a_N:
-    sum_r [prod_{i != r} a_i/(a_i - a_r)] f(point with a_r -> q a_r)."""
-    a, nu = point.a, point.nu
+def _first_operator(f, N: int, a: tuple, q: float, weight, c) -> float:
+    """The t=0 Sigma_r loop shared by the operators below:
+    sum_r weight[r] [prod_{i != r} (a_i - c_i a_r)/(a_i - a_r)] f(r, a_r -> q a_r)."""
     _check_a_distinct(a, N)
     total = 0.0
     for r in range(N):
-        coef = 1.0
+        coef = weight[r]
         for i in range(N):
             if i != r:
-                coef *= a[i] / (a[i] - a[r])
-        shifted = a[:r] + (q * a[r],) + a[r + 1 :]
-        total += coef * f(EvaluablePoint(shifted, nu))
+                coef *= (a[i] - c[i] * a[r]) / (a[i] - a[r])
+        total += coef * f(r, a[:r] + (q * a[r],) + a[r + 1 :])
     return total
+
+
+def apply_W(f, N: int, point: EvaluablePoint, q: float) -> float:
+    """First q-Whittaker operator in a_1..a_N:
+    sum_r [prod_{i != r} a_i/(a_i - a_r)] f(point with a_r -> q a_r),
+    which is apply_macdonald at t = 0."""
+    return apply_macdonald(lambda a: f(EvaluablePoint(a, point.nu)), N, point.a, q, 0.0)
 
 
 def apply_D(f, N: int, point: EvaluablePoint, q: float) -> float:
@@ -61,32 +66,18 @@ def apply_D(f, N: int, point: EvaluablePoint, q: float) -> float:
     (a_i - nu_i a_r)/(a_i - a_r)] f(a_r -> q a_r, nu_r -> q nu_r).
 
     Acts on a_1..a_N and nu_1..nu_N, leaving the ratios nu_i/a_i fixed."""
-    a, nu = point.a, point.nu
-    _check_a_distinct(a, N)
-    total = 0.0
-    for r in range(N):
-        coef = 1.0 - nu[r]
-        for i in range(N):
-            if i != r:
-                coef *= (a[i] - nu[i] * a[r]) / (a[i] - a[r])
-        shifted_a = a[:r] + (q * a[r],) + a[r + 1 :]
-        shifted_nu = nu[:r] + (q * nu[r],) + nu[r + 1 :]
-        total += coef * f(EvaluablePoint(shifted_a, shifted_nu))
-    return total
+    nu = point.nu
+
+    def shifted(r, a):
+        return f(EvaluablePoint(a, nu[:r] + (q * nu[r],) + nu[r + 1 :]))
+
+    return _first_operator(shifted, N, point.a, q, [1.0 - x for x in nu[:N]], nu)
 
 
 def apply_macdonald(f, N: int, a: tuple, q: float, t: float) -> float:
     """Plain first Macdonald operator in the a's (used by the nu_i == t
     reduction check)."""
-    _check_a_distinct(a, N)
-    total = 0.0
-    for r in range(N):
-        coef = 1.0
-        for i in range(N):
-            if i != r:
-                coef *= (a[i] - t * a[r]) / (a[i] - a[r])
-        total += coef * f(a[:r] + (q * a[r],) + a[r + 1 :])
-    return total
+    return _first_operator(lambda _, shifted: f(shifted), N, a, q, (1.0,) * N, (t,) * N)
 
 
 def phi_m(point: EvaluablePoint, u, M: int) -> float:

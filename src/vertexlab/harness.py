@@ -73,10 +73,11 @@ class CheckResult:
 
 def _z_score(samples: np.ndarray, exact: float, details: dict, key: str) -> float:
     """|mean - exact| / se of the samples' mean, recorded in details[key] to
-    three decimals.  A zero or NaN standard error counts as an infinite
-    deviation unless mean == exact."""
+    three decimals.  A zero or NaN standard error (NaN for a single sample)
+    counts as an infinite deviation unless mean == exact."""
+    n = len(samples)
     mean = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
     if se > 0:
         dev = abs(mean - exact) / se
     else:
@@ -164,12 +165,11 @@ def check(check_id: str, tolerance: float, budget: int | None):
         def run(seed: int = 0, budget: int | None = budget) -> CheckResult:
             if run.default_budget is None and budget is not None:
                 raise ValueError(f"check {check_id!r} has a fixed size: no budget")
-            t0 = time.time()
+            t0 = time.perf_counter()
             args = (seed, tolerance) if budget is None else (seed, budget, tolerance)
             passed, statistic, *details = body(*args)
-            return CheckResult(
-                check_id, passed, statistic, tolerance, time.time() - t0, *details
-            )
+            runtime = time.perf_counter() - t0
+            return CheckResult(check_id, passed, statistic, tolerance, runtime, *details)
 
         run.default_budget = budget
         CHECKS[check_id] = run
@@ -486,9 +486,7 @@ def check_schur_matching(seed, budget, tol):
         u = -2.0
         a1 = 1.3
         s = schur.SchurSetup(q=q, u=u, a1=a1, N=N, T=T)
-        p = ModelParams(
-            q=q, u=(u,) * T, a=(a1,) + (1.0,) * (N + 1), nu=(0.0,) + (q,) * (N + 1)
-        )
+        p = schur.special_params(q, u, a1, N + 2, T)
         heights = vertex.sample_quadrant_batch(
             p, vertex.STEP_BERNOULLI, (N + 2, T), budget, offset_seed(seed, N + 10 * T)
         )

@@ -22,7 +22,9 @@ from .core import INFINITY, ModelParams, Specialization, check_window, q_pochham
 from .vertex import sample_quadrant_batch, STEP
 
 POLE_COLLISION_TOL = 1e-9
-QUAD_NODES = {1: 256, 2: 256, 3: 384, 4: 64}
+# nodes per circle by variable count; a 4-variable tensor grid small enough to
+# run (64 nodes) fails the doubling check, so the quadrature stops at 3
+QUAD_NODES = {1: 256, 2: 256, 3: 384}
 DOUBLING_TOL = 1e-10
 QLAPLACE_SERIES_TOL = 1e-12
 QLAPLACE_ELL_CAP = 10
@@ -416,7 +418,7 @@ def moment_qwhittaker(
     """E[q^{ell * lambda_N}] under the q-Whittaker measure with variables a
     and specialization rho, by the ell-fold nested contour integral.
 
-    method "quadrature" (ell <= 4, QUAD_NODES[ell] nodes, with the
+    method "quadrature" (ell <= 3, QUAD_NODES[ell] nodes, with the
     DOUBLING_TOL grid-doubling check) or "residues" (exact, any ell up to the
     combinatorial cap).
     """

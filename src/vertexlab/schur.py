@@ -369,14 +369,23 @@ def tracy_widom_cdf(r: float, n_nodes: int = 48) -> float:
 # Large-scale q-TASEP simulation with special parameters
 
 
+def special_params(q: float, u: float, a1: float, n_cols: int, T: int) -> ModelParams:
+    """The special parameters on n_cols columns and T rows: nu = (0, q, ...),
+    a = (a1, 1, ...), u_t = u.  No regime check on a1, so the shock regime
+    a1 < 1 that SchurSetup rejects can still be simulated."""
+    rest = n_cols - 1
+    return ModelParams(q=q, u=(u,) * T, a=(a1,) + (1.0,) * rest, nu=(0.0,) + (q,) * rest)
+
+
 def _special_positions(
     q: float, u: float, a1: float, N: int, T: int, replicas: int, seed: int
 ) -> np.ndarray:
     """Replica values of x_N(N, T) under the mixed q-TASEP with the special
-    parameters: geometric alpha = q, Bernoulli beta = -u, rates (a1, 1, ...)."""
-    p = ModelParams(
-        q=q, u=(u,) * T, a=(a1,) + (1.0,) * (N - 1), nu=(0.0,) + (q,) * (N - 1)
-    )
+    parameters: geometric alpha = q, Bernoulli beta = -u, rates (a1, 1, ...).
+    ValueError unless replicas >= 1: an empty sample is no law."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    p = special_params(q, u, a1, N, T)
     return qtasep.sample_mixed_batch(p, N, T, replicas, seed)[:, N - 1]
 
 
@@ -447,6 +456,7 @@ def asymptotic_equivalence_proxy(
     """
     N, T = int(eta * M), int(tau * M)
     s = SchurSetup(q=q, u=u, a1=a1, N=N, T=T)
+    xs = _special_positions(q, u, a1, N, T, replicas, seed) + N
     cdfs = fredholm_length_cdf(s, range(-1, T + 1), cutoff=cutoff)
 
     def fred_cdf(y: int) -> float:
@@ -457,7 +467,6 @@ def asymptotic_equivalence_proxy(
             return 0.0
         return 1.0 - cdfs[k]
 
-    xs = _special_positions(q, u, a1, N, T, replicas, seed) + N
     # A lattice Kolmogorov distance: the sup over the integers needs the
     # Fredholm cdf F(v-1) just below each atom v as well as F(v), where
     # ks_distance_to_tw's continuous formula takes one F value per sample.
@@ -485,8 +494,6 @@ def asymptotics_experiment(
     """Simulate x_{eta M}(eta M, tau M) across M in m_list; report the
     empirical law against the limit shape and (in the curved regime) the
     Tracy-Widom distribution.  ValueError unless replicas >= 1."""
-    if replicas < 1:
-        raise ValueError(f"replicas must be >= 1, got {replicas}")
     x_th = limit_shape(eta, tau, u)
     cd = critical_point(eta, tau, u)
     samples = {}

@@ -67,35 +67,21 @@ def vertex_weight_row(u: float, a: float, nu: float, i1, j1: int, q: float):
     return outcomes
 
 
-@dataclass(frozen=True)
-class Boundary:
-    """Boundary condition: r leading nu parameters pinned to zero.
-
-    r=0 is the step boundary, r=1 step-Bernoulli, r>=2 the generalized
-    step-Bernoulli of order r.
-    """
-
-    r: int = 0
-
-    def validate(self, p: ModelParams):
-        if self.r > len(p.nu):
-            raise ValueError(
-                f"boundary of order r={self.r} exceeds the {len(p.nu)} columns"
-            )
-        if any(p.nu[i] != 0.0 for i in range(self.r)):
-            raise ValueError(
-                f"boundary of order r={self.r} requires nu_1..nu_{self.r} = 0"
-            )
+# Boundary orders: r leading nu parameters pinned to zero.  r=0 is the step
+# boundary, r=1 step-Bernoulli, r>=2 the generalized step-Bernoulli of order r.
+STEP = 0
+STEP_BERNOULLI = 1
 
 
-STEP = Boundary(0)
-STEP_BERNOULLI = Boundary(1)
-
-
-def gen_step_bernoulli(r: int) -> Boundary:
-    if r < 1:
-        raise ValueError("generalized step-Bernoulli order must be >= 1")
-    return Boundary(r)
+def check_boundary(p: ModelParams, r: int):
+    """Raise ValueError unless the boundary of order r fits p: 0 <= r <= the
+    column count and nu_1..nu_r = 0."""
+    if r < 0:
+        raise ValueError(f"boundary order must be >= 0, got r={r}")
+    if r > len(p.nu):
+        raise ValueError(f"boundary of order r={r} exceeds the {len(p.nu)} columns")
+    if any(p.nu[i] != 0.0 for i in range(r)):
+        raise ValueError(f"boundary of order r={r} requires nu_1..nu_{r} = 0")
 
 
 @dataclass
@@ -135,14 +121,14 @@ def _window_check(p: ModelParams, window):
     return n_max, t_max
 
 
-def sample_quadrant(
-    p: ModelParams, boundary: Boundary, window, seed: int
-) -> HeightField:
-    """Markovian sweep sampler of the quadrant model on the given window.
+def sample_quadrant(p: ModelParams, boundary: int, window, seed: int) -> HeightField:
+    """Markovian sweep sampler of the quadrant model on the given window, for
+    the boundary of order `boundary` (see check_boundary).
 
-    Identical seed, parameters, and window give a bit-identical HeightField.
+    Identical seed, parameters, and window give a bit-identical HeightField,
+    and the same heights as sample_quadrant_batch(..., 1, seed)[0].
     """
-    boundary.validate(p)
+    check_boundary(p, boundary)
     n_max, t_max = _window_check(p, window)
     rng = stream(seed, 0)
     m = [0] * n_max
@@ -173,12 +159,12 @@ def sample_quadrant(
 
 
 def sample_quadrant_batch(
-    p: ModelParams, boundary: Boundary, window, n_samples: int, seed: int
+    p: ModelParams, boundary: int, window, n_samples: int, seed: int
 ) -> np.ndarray:
     """Vectorized sampler: returns heights of shape (n_samples, t_max+1, n_max+1)
     with heights[s, T, N-1] = h(N, T).  Used by the Monte Carlo checks."""
     S = replica_count(n_samples)
-    boundary.validate(p)
+    check_boundary(p, boundary)
     n_max, t_max = _window_check(p, window)
     rng = stream(seed, 0)
     m = np.zeros((n_max, S), dtype=np.int32)

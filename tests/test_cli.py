@@ -199,6 +199,16 @@ def test_boundary_order_beyond_the_columns_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "r=9" in err and "4 columns" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_couple_check_order_below_one_is_a_usage_error(config, order, capsys):
+    # order 0 used to read x_0 as the last particle and report a false TV
+    # failure (exit 1); order -1 ended in an IndexError traceback
+    argv = ["couple-check", "--config", config, "--path", "TNT", "--order", order]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"r >= 1, got r={order}" in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(pathlib.Path(vertexlab.__file__).parents[1])
     code = "import sys, vertexlab.cli; print('scipy.stats' in sys.modules)"

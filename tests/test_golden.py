@@ -111,6 +111,14 @@ def test_suite_payloads_unchanged():
     assert suite_payloads() == SUITE_FILE.read_text()
 
 
+def test_scalar_quadrant_sampler_matches_the_grid():
+    # sample_quadrant is the one-replica reference of sample_quadrant_batch
+    for name, p, boundary, window, _, seed in quadrant_grid():
+        hf = vertex.sample_quadrant(p, boundary, window, seed)
+        batch = vertex.sample_quadrant_batch(p, boundary, window, 1, seed)[0]
+        assert np.array_equal(hf.values, batch), name
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     DIGEST_FILE.write_text(json.dumps(sampler_digests(), indent=1) + "\n")

@@ -150,7 +150,6 @@ def test_every_criterion_has_a_check():
     assert set(harness.DEFAULT_SUITE) == set(harness.CHECKS) - {"tracy-widom"}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "check_id,budget",
     [("sampler-pmf", 1), ("moment-closure", 1), ("distribution-equality", 1),
@@ -162,6 +161,17 @@ def test_monte_carlo_checks_fail_without_evidence(check_id, budget):
     result = harness.CHECKS[check_id](seed=0, budget=budget)
     assert not result.passed
     assert result.details["no_evidence"]
+
+
+def test_z_score_of_one_sample_is_no_evidence():
+    details = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dev = harness._z_score(np.array([0.5]), 0.25, details, "k")
+    assert dev == math.inf and details["k"] == math.inf
+    assert details["no_evidence"] == ["k: standard error nan"]
+    # a lone sample equal to the exact value is no deviation, still no evidence
+    assert harness._z_score(np.array([0.25]), 0.25, {}, "k") == 0.0
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])

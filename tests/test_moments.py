@@ -129,6 +129,20 @@ def test_quadrature_doubling_guard(monkeypatch):
         moment_qwhittaker(1, 1, rho, (1.0,), 0.5)
 
 
+def test_quadrature_rejects_four_variables_up_front(monkeypatch):
+    # a 4-variable grid used to run for seconds before failing its doubling
+    # check; the variable count is now refused before any node is evaluated
+    def never(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(moments, "nested_contour_quadrature", never)
+    with pytest.raises(ValueError, match="supports up to 3 variables"):
+        moment_product_quadrature((1, 1, 1, 1), 1, _params())
+    rho = Specialization(alphas=(0.25,))
+    with pytest.raises(ValueError, match="supports up to 3 variables"):
+        moment_qwhittaker(4, 1, rho, (1.0,), 0.5)
+
+
 def test_qwhittaker_matching_theorem():
     # with rho(N,T), the q-Whittaker moment equals the product-form moment
     p = _params()

@@ -33,7 +33,7 @@ def _setup(N=3, T=3, u=-2.0, a1=1.2):
 
 def _special_x(q, u, a1, N, T, replicas, seed):
     """x_N(N, T) from the q-TASEP kernel at the special parameters."""
-    p = ModelParams(q=q, u=(u,) * T, a=(a1,) + (1.0,) * (N - 1), nu=(0.0,) + (q,) * (N - 1))
+    p = schur.special_params(q, u, a1, N, T)
     return sample_mixed_batch(p, N, T, replicas, seed)[:, N - 1]
 
 
@@ -272,6 +272,20 @@ def test_asymptotics_needs_a_replica():
 
     with pytest.raises(ValueError, match="replicas must be >= 1, got 0"):
         asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, [30], 0, seed=4)
+
+
+def test_equivalence_proxy_needs_a_replica():
+    # an empty sample used to score a Kolmogorov distance of 0.0
+    with pytest.raises(ValueError, match="replicas must be >= 1, got 0"):
+        asymptotic_equivalence_proxy(0.5, -2.0, 1.0, 1.0, 2.0, 3, 0, seed=7)
+
+
+def test_special_params():
+    p = schur.special_params(0.4, -1.5, 1.2, 3, 2)
+    assert p == ModelParams(q=0.4, u=(-1.5, -1.5), a=(1.2, 1.0, 1.0), nu=(0.0, 0.4, 0.4))
+    # no regime check: the shock regime a1 < 1, which SchurSetup rejects,
+    # can still be simulated
+    assert schur.special_params(0.5, -1.0, 0.8, 1, 0).a == (0.8,)
 
 
 def test_flat_regime_mean():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from vertexlab.core import INFINITY, ModelParams
+from vertexlab.harness import draw_params
+from vertexlab.rng import stream
 from vertexlab.vertex import (
     STEP,
     STEP_BERNOULLI,
     _f_tilde_arrays,
+    check_boundary,
     f_stoch,
-    gen_step_bernoulli,
     row_partitions,
     sample_quadrant,
     sample_quadrant_batch,
@@ -104,10 +106,32 @@ def test_sampler_bit_identical():
 
 def test_boundary_validation():
     p = _params()
-    with pytest.raises(ValueError):
+    check_boundary(p, STEP)
+    with pytest.raises(ValueError, match=r"order r=1 requires nu_1..nu_1 = 0"):
         sample_quadrant(p, STEP_BERNOULLI, (8, 3), seed=0)  # nu_1 != 0
-    with pytest.raises(ValueError):
-        gen_step_bernoulli(0)
+    with pytest.raises(ValueError, match=r"order r=2 requires nu_1..nu_2 = 0"):
+        sample_quadrant_batch(_params(bernoulli=True), 2, (8, 3), 5, seed=0)
+    zeros = ModelParams(q=0.5, u=(-1.0,), a=(1.0,) * 3, nu=(0.0,) * 3)
+    check_boundary(zeros, 3)
+    with pytest.raises(ValueError, match="order r=4 exceeds the 3 columns"):
+        check_boundary(zeros, 4)
+    with pytest.raises(ValueError, match="order must be >= 0, got r=-1"):
+        sample_quadrant(zeros, -1, (3, 1), seed=0)
+
+
+def test_scalar_sampler_equals_batch_at_one_replica():
+    # the scalar sweep is the reference of the vectorized one: at one replica
+    # both read the same uniforms in the same order and return the same heights
+    for k in range(60):
+        rng = stream(4321, k)
+        r = k % 3
+        n_cols, n_rows = int(rng.integers(r + 1, 17)), int(rng.integers(1, 13))
+        p = draw_params(rng, n_cols, n_rows)
+        p = ModelParams(q=p.q, u=p.u, a=p.a, nu=(0.0,) * r + p.nu[r:])
+        window = (int(rng.integers(1, n_cols + 1)), int(rng.integers(0, n_rows + 1)))
+        seed = int(rng.integers(2**63))
+        batch = sample_quadrant_batch(p, r, window, 1, seed)[0]
+        assert np.array_equal(sample_quadrant(p, r, window, seed).values, batch), k
 
 
 def test_step_bernoulli_boundary_law():
