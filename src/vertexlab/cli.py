@@ -4,7 +4,8 @@ Subcommands: sample-vertex, sample-qtasep, couple-check, moments,
 diffops-check, schur, asymptotics, verify.  Each takes only the flags it
 reads, so an unread flag is a usage error.  The environment variable
 VERTEXLAB_SEED overrides --seed.  Exit codes: 0 pass, 1 check failure,
-2 usage error.
+2 any other error (usage, input or output, numerical evaluation), printed
+as `error: ...`.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,18 @@ def q_pochhammer(z, q: float, n=INFINITY):
     return result
 
 
+def inv_cdf(pairs, draw: float):
+    """Inverse-CDF draw from a list of (value, weight) atoms: the first value
+    whose running weight sum exceeds draw strictly, or the last value when
+    rounding leaves the sum at or below draw."""
+    acc = 0.0
+    for value, w in pairs:
+        acc += w
+        if draw < acc:
+            return value
+    return pairs[-1][0]
+
+
 @dataclass(frozen=True)
 class Specialization:
     """Nonnegative specialization data (alpha list, beta list, gamma).

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import INFINITY, ModelParams, check_window, params_digest
 from .qtasep import EXACT_TAIL_CUT, ParticleConfig, TimeLikePath, bernoulli_law
-from .qtasep import gaps, geometric_law, q_geom_law
+from .qtasep import gaps, geometric_law, move_law, q_geom_law
 from .vertex import check_boundary, vertex_weight_row
 
 # Infinite-support jump laws are cut at cumulative 1 - qtasep.EXACT_TAIL_CUT,
@@ -220,11 +220,8 @@ def _tasep_joint_law(path: TimeLikePath, p: ModelParams, r: int):
     for n1, _, move, param in path.steps(p, r):
         moved: dict = {}
         for (cfg, vals), prob in states.items():
-            if move == "BER":
-                law = bernoulli_law(cfg, p.a, param, p.q)
-            else:
-                law, d = geometric_law(cfg, p.a, param, p.q)
-                deficit += prob * d
+            law, d = move_law(move, cfg, p.a, param, p.q)
+            deficit += prob * d
             for target, pr in law:
                 w = prob * pr
                 if w < PRUNE_FLOOR:

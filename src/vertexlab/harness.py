@@ -304,15 +304,11 @@ def check_route_triangle(seed, budget, tol):
             op = diffops.operator_expectation(N_list, T, max(N_list), p)
             quad, _ = moments.moment_product_quadrature(N_list, T, p)
             res = moments.product_moment_residues(N_list, T, p)
-            worst = max(worst, abs(op - quad), abs(quad - res))
-            if all(n >= 1 for n in N_list):
-                hres = moments.moment_height_residues(N_list, T, p)
-                hrec = moments.height_moment_from_products(
-                    N_list, T, p, lambda sub: (
-                        1.0 if not sub else moments.moment_product_quadrature(sub, T, p)[0]
-                    )
-                )
-                worst = max(worst, abs(hres - hrec))
+            hres = moments.moment_height_residues(N_list, T, p)
+            hrec = moments.height_moment_from_products(
+                N_list, T, p, lambda sub: moments.moment_product_quadrature(sub, T, p)[0]
+            )
+            worst = max(worst, abs(op - quad), abs(quad - res), abs(hres - hrec))
     return worst <= tol, worst
 
 

@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .core import INFINITY, ModelParams, Specialization, check_window, q_pochhammer
-from .vertex import sample_quadrant_batch, STEP
 
 POLE_COLLISION_TOL = 1e-9
 # nodes per circle by variable count; a 4-variable tensor grid small enough to
@@ -139,7 +138,9 @@ def nested_contour_quadrature(h_list, circles, q: float, n: int):
 
 
 def _nested_residue_sum_a(h_evals, h_poles, q: float) -> float:
-    """Iterated residues for the a-side nested integrals.
+    """Iterated residues for the a-side nested integrals, returned with the
+    sign (-1)^k q^{k(k-1)/2} of the k-fold formulas, as _doubled_quadrature
+    returns its value.
 
     h_evals[j](z): value of H_j off its poles; h_poles[j]: list of
     (pole, residue).  Variables are processed innermost (index k-1) first;
@@ -177,7 +178,7 @@ def _nested_residue_sum_a(h_evals, h_poles, q: float) -> float:
                 total += term * rec(j - 1, tuple(sorted(fixed + (pole,))))
         return total
 
-    return rec(k, ())
+    return (-1.0) ** k * q ** (k * (k - 1) // 2) * rec(k, ())
 
 
 def _product_h_factory(N_j: int, T: int, p: ModelParams):
@@ -207,14 +208,12 @@ def product_moment_residues(N_list, T: int, p: ModelParams) -> float:
     """E prod_j (q^{h(N_j+1,T)} - q^{T+ell-j} nu_1..nu_{N_j}) by iterated
     exact residues on the nested a contours."""
     N_list = _check_product_args(N_list, T, p)
-    ell = len(N_list)
     h_evals, h_poles = [], []
     for N_j in N_list:
         h, poles = _product_h_factory(N_j, T, p)
         h_evals.append(h)
         h_poles.append(poles)
-    val = _nested_residue_sum_a(h_evals, h_poles, p.q)
-    return (-1.0) ** ell * p.q ** (ell * (ell - 1) // 2) * val
+    return _nested_residue_sum_a(h_evals, h_poles, p.q)
 
 
 def _check_product_args(N_list, T, p, allow_zero=False):
@@ -429,8 +428,7 @@ def moment_qwhittaker(
                 raise ValueError(f"|a_i alpha_j| = {abs(ai * al)} >= 1")
     h, poles = _qwhittaker_h_factory(N, rho, a, q)
     if method == "residues":
-        pref = (-1.0) ** ell * q ** (ell * (ell - 1) // 2)
-        return pref * _nested_residue_sum_a([h] * ell, [poles] * ell, q)
+        return _nested_residue_sum_a([h] * ell, [poles] * ell, q)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     exclusions = [1.0 / al for al in rho.alphas if al > 0]
@@ -456,37 +454,18 @@ def qwhittaker_n1_pmf(rho: Specialization, a1: float, q: float, n_max: int):
 # q-Laplace transform
 
 
-def q_laplace_observable(h, zeta, q: float, pref: float = 1.0) -> np.ndarray:
-    """pref / (zeta q^h; q)_inf for each entry of the nonnegative integer
-    array h, read from a table over 0..max(h)."""
+def q_laplace_observable(h, zeta, q: float) -> np.ndarray:
+    """1 / (zeta q^h; q)_inf for each entry of the nonnegative integer array
+    h, read from a table over 0..max(h)."""
     ks = range(int(h.max()) + 1)
-    return np.array([pref / q_pochhammer(zeta * q**k, q, INFINITY) for k in ks])[h]
+    return np.array([1.0 / q_pochhammer(zeta * q**k, q, INFINITY) for k in ks])[h]
 
 
-def q_laplace(
-    N: int,
-    T: int,
-    p: ModelParams,
-    zeta,
-    mode: str,
-    budget: int = 100_000,
-    seed: int = 0,
-):
-    """E[(zeta q^T nu_1..nu_N; q)_inf / (zeta q^{h(N+1,T)}; q)_inf] in VERTEX
-    mode (Monte Carlo, returns (mean, stderr)), or the matching q-Whittaker
-    side E[1/(zeta q^{lambda_N}; q)_inf] in QWHITTAKER mode (certified
-    series of q-moments, returns (value, tail_bound))."""
-    if mode not in ("VERTEX", "QWHITTAKER"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if zeta == 0:
-        return (1.0, 0.0)
+def q_laplace(N: int, T: int, p: ModelParams, zeta):
+    """E[1/(zeta q^{lambda_N}; q)_inf] under the q-Whittaker measure of the
+    window (N, T), as a certified series of q-moments: (value, tail_bound).  The
+    vertex side is sample_quadrant_batch read through q_laplace_observable."""
     q = p.q
-    if mode == "VERTEX":
-        heights = sample_quadrant_batch(p, STEP, (N + 1, T), budget, seed)
-        h = heights[:, T, N]
-        npref = q_pochhammer(zeta * q**T * math.prod(p.nu[:N]), q, INFINITY)
-        vals = q_laplace_observable(h, zeta, q, npref)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     rho = matching_specialization(p, N, T)
     total = 1.0
     ell = 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, check_window, q_pochhammer, replica_count
+from .core import INFINITY, ModelParams, check_window, inv_cdf, q_pochhammer, replica_count
 from .rng import _draws_at, stream
 
 # Inverse-CDF sampling of the infinite-gap jump law is cut once the
@@ -102,17 +102,6 @@ def _jump_probs(x, a, beta: float, q: float) -> list:
     return [(f, f * (1.0 - q**m)) for f, m in zip(free, gaps(x))]
 
 
-def _inv_cdf(pairs, draw: float) -> int:
-    acc = 0.0
-    val = pairs[-1][0]
-    for j, w in pairs:
-        acc += w
-        if draw < acc:
-            val = j
-            break
-    return val
-
-
 def geometric_move(
     cfg: ParticleConfig, a, alpha: float, q: float, rng
 ) -> ParticleConfig:
@@ -124,7 +113,7 @@ def geometric_move(
     new = []
     for xi, ai, m in zip(cfg.x, a, gaps(cfg.x)):
         pairs, _ = q_geom_law(m, ai * alpha, q)
-        new.append(xi + _inv_cdf(pairs, rng.random()))
+        new.append(xi + inv_cdf(pairs, rng.random()))
     return ParticleConfig(tuple(new))
 
 
@@ -433,6 +422,17 @@ def geometric_law(cfg_x: tuple, a, alpha: float, q: float):
     return out, deficit
 
 
+def move_law(move: str, x: tuple, a, param: float, q: float):
+    """Exact law of one move from x: (list of (new_x, prob), truncation
+    deficit).  move is "BER" (param = beta; deficit 0.0) or "GEOM"
+    (param = alpha)."""
+    if move == "BER":
+        return bernoulli_law(x, a, param, q), 0.0
+    if move == "GEOM":
+        return geometric_law(x, a, param, q)
+    raise ValueError(f"unknown move {move!r}")
+
+
 @dataclass
 class TransitionMatrix:
     """Row-stochastic (up to recorded deficits) matrix over all strictly
@@ -481,14 +481,9 @@ def transition_matrix(
     n = len(states)
     mat = np.zeros((n, n))
     row_deficit = np.zeros(n)
+    param = beta if move == "BER" else alpha
     for r, s in enumerate(states):
-        if move == "BER":
-            law = bernoulli_law(s, a, beta, q)
-            deficit = 0.0
-        elif move == "GEOM":
-            law, deficit = geometric_law(s, a, alpha, q)
-        else:
-            raise ValueError(f"unknown move {move!r}")
+        law, deficit = move_law(move, s, a, param, q)
         for target, prob in law:
             col = index.get(target)
             if col is None:

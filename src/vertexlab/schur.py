@@ -356,7 +356,10 @@ def _legendre_nodes(n_nodes: int):
 
 def tracy_widom_cdf(r: float, n_nodes: int = 48) -> float:
     """F_GUE(r) = det(1 - K_Airy) on L^2(r, inf), by Gauss-Legendre
-    quadrature mapped onto the half-line by x = r + 2(1+t)/(1-t)."""
+    quadrature mapped onto the half-line by x = r + 2(1+t)/(1-t).  ValueError
+    unless r is finite."""
+    if not math.isfinite(r):
+        raise ValueError(f"tracy_widom_cdf needs a finite r, got r={r}")
     t, w = _legendre_nodes(int(n_nodes))
     x = r + 2.0 * (1.0 + t) / (1.0 - t)
     dx = 4.0 / (1.0 - t) ** 2
@@ -493,7 +496,10 @@ def asymptotics_experiment(
 ) -> AsymptoticsReport:
     """Simulate x_{eta M}(eta M, tau M) across M in m_list; report the
     empirical law against the limit shape and (in the curved regime) the
-    Tracy-Widom distribution.  ValueError unless replicas >= 1."""
+    Tracy-Widom distribution.  ValueError, before any simulation, unless
+    m_list holds at least one M and no M twice, and replicas >= 1."""
+    if not m_list or len(set(m_list)) != len(m_list):
+        raise ValueError(f"m_list must list distinct values of M, got {list(m_list)}")
     x_th = limit_shape(eta, tau, u)
     cd = critical_point(eta, tau, u)
     samples = {}

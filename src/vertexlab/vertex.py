@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    INFINITY, ModelParams, Partition, check_window, q_pochhammer, replica_count
+    INFINITY, ModelParams, Partition, check_window, inv_cdf, q_pochhammer, replica_count
 )
 from .rng import stream
 
@@ -139,14 +139,7 @@ def sample_quadrant(p: ModelParams, boundary: int, window, seed: int) -> HeightF
         j = 1
         for N in range(1, n_max + 1):
             outcomes = vertex_weight_row(u, p.a[N - 1], p.nu[N - 1], m[N - 1], j, p.q)
-            draw = rng.random()
-            pick = outcomes[-1]
-            acc = 0.0
-            for o in outcomes:
-                acc += o.weight
-                if draw < acc:
-                    pick = o
-                    break
+            pick = inv_cdf([(o, o.weight) for o in outcomes], rng.random())
             m[N - 1] = int(pick.i2)
             j = pick.j2
         exited += j

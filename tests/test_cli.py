@@ -209,6 +209,32 @@ def test_couple_check_order_below_one_is_a_usage_error(config, order, capsys):
     assert err.startswith("error: ") and f"r >= 1, got r={order}" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["sample-vertex", "--config", "/"], "Is a directory"),
+     (["schur", "--mode", "tracy-widom", "--out", "FILE"], "File exists"),
+     (["schur", "--mode", "fredholm", "--u", "-1", "--a1", "1", "--N", "6", "--T", "12"],
+      "kernel quadrature not real"),
+     (["moments", "--config", "Q03", "--route", "quadrature", "--n-list", "3,2,1",
+       "--T", "3"], "grid doubling moved the value"),
+     (["schur", "--mode", "tracy-widom", "--r", "nan"], "finite r, got r=nan"),
+     (["asymptotics", "--m-list", "20,20", "--replicas", "5"], "distinct values of M")],
+    ids=["config-is-directory", "out-is-file", "kernel-not-real", "quadrature-error",
+         "tracy-widom-nan", "repeated-m"],
+)
+def test_errors_exit_2_without_a_traceback(argv, message, tmp_path, capsys):
+    # each of these used to end in a traceback and exit 1, the code of a
+    # failed check (the last two exited 0)
+    (tmp_path / "file").write_text("")
+    p = ModelParams(q=0.3, u=(-1.0, -0.8, -1.2), a=(1.0, 0.9, 1.1, 0.95),
+                    nu=(0.0, 0.3, 0.4, 0.25))
+    (tmp_path / "q03.json").write_text(params_to_config(p))
+    paths = {"FILE": tmp_path / "file", "Q03": tmp_path / "q03.json"}
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(pathlib.Path(vertexlab.__file__).parents[1])
     code = "import sys, vertexlab.cli; print('scipy.stats' in sys.modules)"

@@ -9,6 +9,7 @@ from vertexlab.core import (
     ModelParams,
     Partition,
     Specialization,
+    inv_cdf,
     params_from_config,
     params_to_config,
     pi_w,
@@ -88,6 +89,18 @@ def test_pi_w_coefficients_multiplicativity():
         sum(c1[i] * c2[n - i] for i in range(n + 1)) for n in range(13)
     ]
     assert np.allclose(c12, conv, atol=1e-12)
+
+
+def test_inv_cdf_boundaries():
+    pairs = [("a", 0.25), ("b", 0.25), ("c", 0.5)]
+    assert inv_cdf(pairs, 0.0) == "a"
+    # the comparison with the running sum is strict: a draw on a cumulative
+    # boundary belongs to the next atom
+    assert inv_cdf(pairs, 0.25) == "b"
+    assert inv_cdf(pairs, 0.5) == "c"
+    # rounding can leave the sum short of the draw: the last atom takes it
+    assert inv_cdf([(0, 0.3), (1, 0.3)], 0.9) == 1
+    assert inv_cdf(pairs, 1.0) == "c"
 
 
 def test_partition():

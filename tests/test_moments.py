@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +23,10 @@ from vertexlab.moments import (
     moment_record,
     product_moment_residues,
     q_laplace,
+    q_laplace_observable,
     qwhittaker_n1_pmf,
 )
+from vertexlab.vertex import STEP, sample_quadrant_batch
 
 
 def _params(n_cols=4, t=3):
@@ -173,17 +179,13 @@ def test_qwhittaker_empty_specialization():
 
 
 def test_q_laplace_zero():
-    p = _params()
-    assert q_laplace(2, 2, p, 0.0, "VERTEX") == (1.0, 0.0)
-    assert q_laplace(2, 2, p, 0.0, "QWHITTAKER") == (1.0, 0.0)
-    with pytest.raises(ValueError, match="BOGUS"):
-        q_laplace(2, 2, p, 0.0, "BOGUS")
+    assert q_laplace(2, 2, _params(), 0.0) == (1.0, 0.0)
 
 
 def test_q_laplace_n1_oracle():
     p = ModelParams(q=0.5, u=(-1.0, -0.7), a=(0.9,), nu=(0.45,))
     zeta = 0.05
-    val, tail = q_laplace(1, 2, p, zeta, "QWHITTAKER")
+    val, tail = q_laplace(1, 2, p, zeta)
     rho = matching_specialization(p, 1, 2)
     pmf = qwhittaker_n1_pmf(rho, 0.9, 0.5, 300)
     direct = sum(
@@ -200,24 +202,29 @@ def test_q_laplace_tail_bounds_the_omitted_terms():
     # on are at most sum_{k >= ell} zeta^k / (q;q)_k, which the tail covers
     q, zeta = 0.9, 0.03
     p = ModelParams(q=q, u=(-1.0,), a=(0.9,), nu=(0.45,))
-    _, tail = q_laplace(1, 1, p, zeta, "QWHITTAKER")
+    _, tail = q_laplace(1, 1, p, zeta)
     coeffs = [zeta**k / q_pochhammer(q, q, k) for k in range(80)]
     ell = next(k for k, c in enumerate(coeffs) if c < moments.QLAPLACE_SERIES_TOL)
     assert tail >= sum(coeffs[ell:])
 
 
 def test_q_laplace_modes_agree():
+    # the vertex side is the sampler read through the observable, as in
+    # check_schur_matching
+    N, T, zeta = 2, 2, 0.05
     p = ModelParams(q=0.5, u=(-1.0, -0.7), a=(0.9, 1.1, 1.0), nu=(0.0, 0.35, 0.3))
-    zeta = 0.05
-    qw, tail = q_laplace(2, 2, p, zeta, "QWHITTAKER")
-    mc, se = q_laplace(2, 2, p, zeta, "VERTEX", budget=200_000, seed=9)
-    assert abs(qw - mc) <= 4 * se + tail
+    qw, tail = q_laplace(N, T, p, zeta)
+    heights = sample_quadrant_batch(p, STEP, (N + 1, T), 200_000, 9)
+    npref = q_pochhammer(zeta * p.q**T * math.prod(p.nu[:N]), p.q, INFINITY)
+    vals = npref * q_laplace_observable(heights[:, T, N], zeta, p.q)
+    se = vals.std(ddof=1) / math.sqrt(len(vals))
+    assert abs(qw - vals.mean()) <= 4 * se + tail
 
 
 def test_q_laplace_tail_unattainable():
     p = _params()
     with pytest.raises(ValueError, match="unattainable"):
-        q_laplace(2, 2, p, 0.5, "QWHITTAKER")
+        q_laplace(2, 2, p, 0.5)
 
 
 def test_moment_record_fields():
@@ -227,3 +234,14 @@ def test_moment_record_fields():
     rec = json.loads(moment_record("height-moment", p, 0.5, "residues", 0.0))
     assert set(rec) == {"formula", "params_digest", "value", "method",
                         "error_estimate"}
+
+
+def test_moments_import_leaves_the_vertex_sampler_unloaded():
+    # the contour oracles must not import the sampler they check
+    src = str(pathlib.Path(moments.__file__).parents[1])
+    code = "import sys, vertexlab.moments; print('vertexlab.vertex' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -19,6 +19,7 @@ from vertexlab.qtasep import (
     gaps,
     geometric_law,
     geometric_move,
+    move_law,
     q_geom_law,
     q_geom_pmf,
     run_mixed,
@@ -187,6 +188,15 @@ def test_transition_matrix_names_a_missing_move_parameter():
         transition_matrix("BER", (1.0,), 1, (-2, 2), alpha=0.3, q=0.5)
     with pytest.raises(TypeError, match="'q'"):  # no default picks a model
         transition_matrix("BER", (1.0,), 1, (-2, 2), beta=0.8)
+
+
+def test_move_law():
+    x, a, q = (0, -2), (1.0, 0.9), 0.5
+    law, deficit = move_law("BER", x, a, 0.8, q)
+    assert deficit == 0.0 and law == bernoulli_law(x, a, 0.8, q)
+    assert move_law("GEOM", x, a, 0.3, q) == geometric_law(x, a, 0.3, q)
+    with pytest.raises(ValueError, match="unknown move 'HOP'"):
+        move_law("HOP", x, a, 0.3, q)
 
 
 def test_commutation_example():

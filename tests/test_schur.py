@@ -217,6 +217,13 @@ def test_tracy_widom_shape():
     assert all(-1e-10 <= v <= 1 + 1e-10 for v in F)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_tracy_widom_needs_a_finite_r(r):
+    # r = nan or inf used to return F = NaN
+    with pytest.raises(ValueError, match=f"finite r, got r={r}"):
+        tracy_widom_cdf(r)
+
+
 def test_tracy_widom_nodes_cached_read_only():
     t, w = schur._legendre_nodes(48)
     assert schur._legendre_nodes(48)[0] is t
@@ -272,6 +279,18 @@ def test_asymptotics_needs_a_replica():
 
     with pytest.raises(ValueError, match="replicas must be >= 1, got 0"):
         asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, [30], 0, seed=4)
+
+
+@pytest.mark.parametrize("m_list", [[20, 20], [10, 20, 10], []])
+def test_asymptotics_m_list_must_be_distinct(m_list, monkeypatch):
+    # a repeated M used to be simulated twice, the second sample kept and
+    # reported twice
+    def no_simulation(*args):
+        raise AssertionError("simulated before checking m_list")
+
+    monkeypatch.setattr(schur, "_special_positions", no_simulation)
+    with pytest.raises(ValueError, match="distinct values of M"):
+        schur.asymptotics_experiment(0.5, -1.0, 1.0, 1.0, 2.0, m_list, 5, seed=4)
 
 
 def test_equivalence_proxy_needs_a_replica():
