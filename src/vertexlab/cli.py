@@ -3,9 +3,9 @@
 Subcommands: sample-vertex, sample-qtasep, couple-check, moments,
 diffops-check, schur, asymptotics, verify.  Each takes only the flags it
 reads, so an unread flag is a usage error.  The environment variable
-VERTEXLAB_SEED overrides --seed.  Exit codes: 0 pass, 1 check failure,
-2 any other error (usage, input or output, numerical evaluation), printed
-as `error: ...`.
+VERTEXLAB_SEED overrides --seed.  Exit codes: 0 pass, 1 check failure
+(including an ArithmeticError inside a check), 2 any other error (usage,
+input or output, numerical evaluation), printed as `error: ...`.
 """
 
 from __future__ import annotations

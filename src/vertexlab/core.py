@@ -182,6 +182,16 @@ class ModelParams:
         return tuple(n / a for n, a in zip(self.nu, self.a))
 
 
+def check_separated(name: str, values, rel_tol: float):
+    """ValueError naming `name` unless the values are pairwise more than
+    rel_tol times their largest modulus apart."""
+    scale = max((abs(x) for x in values), default=1.0)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(values[i] - values[j]) < rel_tol * scale:
+                raise ValueError(f"{name} collision: {name}[{i}] ~ {name}[{j}] = {values[i]}")
+
+
 def check_window(p: ModelParams, n_cols: int, n_rows: int):
     """ValueError unless p has parameters for columns 1..n_cols and rows
     1..n_rows."""

@@ -169,11 +169,7 @@ def _advance_row(states: dict, u: float, p: ModelParams, n_win: int) -> dict:
         for col in range(n_win):
             new_frontier = []
             for mm, j, pr in frontier:
-                for o in vertex_weight_row(
-                    u, p.a[col], p.nu[col], mm[col], j, p.q
-                ):
-                    if o.weight <= 0.0:
-                        continue
+                for o in vertex_weight_row(u, p.a[col], p.nu[col], mm[col], j, p.q):
                     m2 = mm[:col] + (int(o.i2),) + mm[col + 1 :]
                     new_frontier.append((m2, o.j2, pr * o.weight))
             frontier = new_frontier

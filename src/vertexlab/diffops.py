@@ -12,7 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, check_window
+from .core import ModelParams, check_separated, check_window
 from .moments import _check_product_args
 
 A_COLLISION_REL_TOL = 1e-9
@@ -32,18 +32,10 @@ class EvaluablePoint:
             raise ValueError("a and nu must have equal length")
 
 
-def _check_a_distinct(a, N: int):
-    scale = max(abs(x) for x in a[:N])
-    for i in range(N):
-        for r in range(i + 1, N):
-            if abs(a[i] - a[r]) < A_COLLISION_REL_TOL * scale:
-                raise ValueError(f"a collision: a[{i}] ~ a[{r}] = {a[i]}")
-
-
 def _first_operator(f, N: int, a: tuple, q: float, weight, c) -> float:
     """The t=0 Sigma_r loop shared by the operators below:
     sum_r weight[r] [prod_{i != r} (a_i - c_i a_r)/(a_i - a_r)] f(r, a_r -> q a_r)."""
-    _check_a_distinct(a, N)
+    check_separated("a", a[:N], A_COLLISION_REL_TOL)
     total = 0.0
     for r in range(N):
         coef = weight[r]

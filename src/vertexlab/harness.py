@@ -158,7 +158,9 @@ def check(check_id: str, tolerance: float, budget: int | None):
     called as (seed=0, budget=<default>); it times the body and returns a
     CheckResult.  Its `default_budget` attribute is the budget run_suite
     scales.  A fixed-size check registers budget=None: its body takes
-    (seed, tolerance), and an explicit budget raises ValueError."""
+    (seed, tolerance), and an explicit budget raises ValueError.  A body
+    that raises ArithmeticError fails with statistic inf and the error,
+    as "<type>: <message>", in details["error"]."""
 
     def register(body):
         @functools.wraps(body)
@@ -167,7 +169,11 @@ def check(check_id: str, tolerance: float, budget: int | None):
                 raise ValueError(f"check {check_id!r} has a fixed size: no budget")
             t0 = time.perf_counter()
             args = (seed, tolerance) if budget is None else (seed, budget, tolerance)
-            passed, statistic, *details = body(*args)
+            try:
+                passed, statistic, *details = body(*args)
+            except ArithmeticError as exc:
+                passed, statistic = False, math.inf
+                details = [{"error": f"{type(exc).__name__}: {exc}"}]
             runtime = time.perf_counter() - t0
             return CheckResult(check_id, passed, statistic, tolerance, runtime, *details)
 
@@ -555,7 +561,8 @@ def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
     {"checks": [...]}); returns (exit_code, results).  Writes per-check JSON
     and a summary CSV when out_dir is given.  ValueError, before any check
     runs, unless budget_scale > 0 and every scaled budget is finite, or if
-    the suite file is not an object whose one key "checks" lists check ids."""
+    the suite file is not an object whose one key "checks" lists check ids;
+    out_dir is created before the first check runs, so OSError comes first."""
     import pathlib
 
     if isinstance(spec, str):
@@ -591,10 +598,11 @@ def run_suite(spec, out_dir=None, seed: int = 0, budget_scale: float = 1.0):
                 )
             kwargs["budget"] = max(int(budget), 1)
         calls.append((fn, kwargs))
-    results = [fn(**kwargs) for fn, kwargs in calls]
     if out_dir is not None:
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+    results = [fn(**kwargs) for fn, kwargs in calls]
+    if out_dir is not None:
         for r in results:
             doc = r.payload()
             doc["runtime_s"] = round(r.runtime, 3)

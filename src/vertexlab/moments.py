@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, Specialization, check_window, q_pochhammer
+from .core import INFINITY, ModelParams, Specialization, check_separated, check_window
+from .core import q_pochhammer
 
 POLE_COLLISION_TOL = 1e-9
 # nodes per circle by variable count; a 4-variable tensor grid small enough to
@@ -269,11 +270,10 @@ def moment_product_quadrature(N_list, T: int, p: ModelParams):
 
 
 def _check_u_regularity(u, q):
+    check_separated("u", u, POLE_COLLISION_TOL)
     scale = max(abs(x) for x in u) if u else 1.0
     for i in range(len(u)):
         for j in range(len(u)):
-            if i != j and abs(u[i] - u[j]) < POLE_COLLISION_TOL * scale:
-                raise ValueError(f"pole collision: u[{i}] ~ u[{j}]")
             if abs(u[i] - q * u[j]) < POLE_COLLISION_TOL * scale:
                 raise ValueError(f"pole collision: u[{i}] ~ q*u[{j}]")
 

@@ -5,6 +5,7 @@ the exact commutation and path-independence checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -56,11 +57,12 @@ def q_geom_pmf(m, alpha: float, q: float, j: int) -> float:
     )
 
 
+@functools.cache
 def q_geom_law(m, alpha: float, q: float, tail: float = GEOM_TAIL_CUT):
-    """Jump law as a list of (j, weight); infinite support cut at cumulative
-    1 - tail. Returns (pairs, deficit)."""
+    """Jump law as a tuple of (j, weight); infinite support cut at cumulative
+    1 - tail. Returns (pairs, deficit), memoized: callers share the pairs."""
     if m != INFINITY:
-        return [(j, q_geom_pmf(m, alpha, q, j)) for j in range(int(m) + 1)], 0.0
+        return tuple((j, q_geom_pmf(m, alpha, q, j)) for j in range(int(m) + 1)), 0.0
     pairs = []
     acc = 0.0
     j = 0
@@ -69,7 +71,7 @@ def q_geom_law(m, alpha: float, q: float, tail: float = GEOM_TAIL_CUT):
         pairs.append((j, w))
         acc += w
         j += 1
-    return pairs, max(0.0, 1.0 - acc)
+    return tuple(pairs), max(0.0, 1.0 - acc)
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,8 @@ def geometric_move(
     cfg: ParticleConfig, a, alpha: float, q: float, rng
 ) -> ParticleConfig:
     """Parallel geometric update: particle i jumps by j ~ p_{gap_i, a_i*alpha},
-    all gaps taken from the pre-move configuration (parallel update)."""
-    for i in range(len(cfg.x)):
-        if a[i] * alpha >= 1.0:
-            raise ValueError(f"rate violation: a_{i+1} * alpha = {a[i] * alpha} >= 1")
+    all gaps taken from the pre-move configuration (parallel update).
+    q_geom_pmf rejects a rate a_i*alpha outside (0, 1)."""
     new = []
     for xi, ai, m in zip(cfg.x, a, gaps(cfg.x)):
         pairs, _ = q_geom_law(m, ai * alpha, q)
@@ -362,8 +362,7 @@ def sample_mixed_batch(
                 m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
                 g = gaps[free]
                 rows = np.minimum(g, m_cap)
-                u_draw = np.minimum(U[:, :k][free], 1 - 1e-16)
-                j = np.searchsorted(flat, rows + u_draw) - rows * width
+                j = np.searchsorted(flat, rows + U[:, :k][free]) - rows * width
                 Xr[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
             _draws_at(rng, start + R * (L - 1) + r0, first)
             Xr[:, 0] += np.searchsorted(first_cdf, first)
@@ -449,10 +448,7 @@ def box_configs(L: int, box) -> list:
     """All strictly decreasing L-tuples with entries in [lo, hi], in
     lexicographic order."""
     lo, hi = box
-    return [
-        tuple(sorted(c, reverse=True))
-        for c in itertools.combinations(range(hi, lo - 1, -1), L)
-    ]
+    return list(itertools.combinations(range(hi, lo - 1, -1), L))
 
 
 def transition_matrix(

@@ -75,7 +75,7 @@ def _h_from_beta(betas, n_max: int) -> np.ndarray:
     h = np.zeros(n_max + 1)
     h[0] = 1.0
     for b in betas:
-        h[1:] += b * h[:-1].copy()
+        h[1:] += b * h[:-1]
     return h
 
 
@@ -94,12 +94,10 @@ def schur_jacobi_trudi(parts: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     parts is an (n, ell) integer array whose rows are partitions of length
     ell, largest part first; h_k is taken as 0 for k < 0 and k >= len(h).
-    All n determinants come from one stacked np.linalg.det call.
+    All n determinants come from one stacked np.linalg.det call (at ell = 0,
+    of 0 x 0 matrices: 1, the Schur function of the empty partition).
     """
-    ell = parts.shape[1]
-    if ell == 0:
-        return np.ones(parts.shape[0])
-    shift = np.arange(ell)
+    shift = np.arange(parts.shape[1])
     k = parts[:, :, None] + (shift[None, :] - shift[:, None])
     inside = (k >= 0) & (k < len(h))
     return np.linalg.det(np.where(inside, h[np.clip(k, 0, len(h) - 1)], 0.0))
@@ -414,7 +412,8 @@ class AsymptoticsReport:
             "X_theory": self.x_theory,
             "sigma": self.sigma,
             "mean_err": self.mean_err,
-            "ks_stat": self.ks_stat,
+            # NaN (flat regime: no Tracy-Widom statistic) is not JSON
+            "ks_stat": None if math.isnan(self.ks_stat) else self.ks_stat,
         }
 
     def to_csv(self) -> str:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    INFINITY, ModelParams, Partition, check_window, inv_cdf, q_pochhammer, replica_count
-)
+from .core import INFINITY, ModelParams, Partition, check_separated, check_window
+from .core import inv_cdf, q_pochhammer, replica_count
 from .rng import stream
 
 U_COLLISION_TOL = 1e-12
@@ -189,19 +188,8 @@ def sample_quadrant_batch(
 
 def row_partitions(t: int, cap: int):
     """All partitions with exactly t parts, each in [1, cap], as tuples."""
-    if t == 0:
-        yield ()
-        return
     for combo in itertools.combinations_with_replacement(range(1, cap + 1), t):
-        yield tuple(sorted(combo, reverse=True))
-
-
-def _check_u_distinct(u):
-    scale = max(abs(x) for x in u) if u else 1.0
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            if abs(u[i] - u[j]) < U_COLLISION_TOL * scale:
-                raise ValueError(f"u collision: u[{i}] ~ u[{j}] = {u[i]}")
+        yield combo[::-1]
 
 
 def _symmetrize(parts, u, nu, q: float, slot) -> float:
@@ -210,9 +198,7 @@ def _symmetrize(parts, u, nu, q: float, slot) -> float:
     times prod_i slot(parts[i], u_{sigma(i)}), with the multiplicity prefactor
     prod_r (nu_r; q)_k / (q; q)_k."""
     t = len(parts)
-    if t == 0:
-        return 1.0
-    _check_u_distinct(u)
+    check_separated("u", u, U_COLLISION_TOL)
     mult: dict = {}
     for x in parts:
         mult[x] = mult.get(x, 0) + 1

@@ -162,6 +162,19 @@ def test_asymptotics_cli(tmp_path):
     assert "X_theory" in doc and "ks_stat" in doc
 
 
+def test_flat_regime_summary_is_strict_json(tmp_path):
+    # tau / eta = 0.5 < -1/u = 1: no Tracy-Widom statistic, written as null
+    out = tmp_path / "d"
+    argv = ["asymptotics", "--tau", "0.5", "--m-list", "20", "--replicas", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = (out / "asymptotics_summary.json").read_text()
+    assert json.loads(text, parse_constant=reject)["ks_stat"] is None
+
+
 def test_verify_subset(tmp_path, capsys):
     spec = tmp_path / "suite.json"
     spec.write_text(json.dumps({"checks": ["formal-identity", "stochasticity"]}))
@@ -331,3 +344,29 @@ def test_unread_flags_are_usage_errors(argv, flag, config, tmp_path, capsys):
         main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,where,text",
+    [(["sample-vertex", "--config", "CONFIG", "--window", "3,2", "--boundary",
+       "step-bernoulli"], 0, "out", "N,T,h\n1,0,0\n"),
+     (["schur", "--mode", "tracy-widom", "--r", "-1.5"], 0, "out", '{"r": -1.5, "F": '),
+     (["asymptotics", "--replicas", "two"], 2, "err", "expected an integer >= 1, got 'two'")],
+    ids=["step-bernoulli-to-stdout", "schur-to-stdout", "replicas-not-an-integer"],
+)
+def test_branches_reached_only_from_the_command_line(argv, code, where, text, config,
+                                                     capsys):
+    assert _exit_code([config if a == "CONFIG" else a for a in argv]) == code
+    assert text in getattr(capsys.readouterr(), where)
+
+
+def test_verify_exits_1_when_a_check_raises_arithmetic_error(tmp_path, capsys):
+    # qwhittaker-n1 raises QuadratureError at this seed (see test_harness)
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"checks": ["qwhittaker-n1", "formal-identity"]}))
+    out = tmp_path / "reports"
+    assert main(["verify", str(spec), "--seed", "3273534616666675981", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "FAIL qwhittaker-n1: statistic=inf" in printed and "PASS formal-identity" in printed
+    doc = json.loads((out / "qwhittaker-n1.json").read_text(), parse_constant=float)
+    assert doc["details"]["error"].startswith("QuadratureError: grid doubling")

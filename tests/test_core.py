@@ -9,6 +9,7 @@ from vertexlab.core import (
     ModelParams,
     Partition,
     Specialization,
+    check_separated,
     inv_cdf,
     params_from_config,
     params_to_config,
@@ -190,3 +191,22 @@ def test_replica_count_must_be_a_nonnegative_integer(sampler, n_samples):
         sampler(n_samples)
     assert sampler(np.int64(3)).shape[0] == 3
     assert sampler(0).shape[0] == 0
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: q_pochhammer(0.3, 0.5, -1), "n must be >= 0"),
+     (lambda: Specialization(alphas=(0.2, -0.1)), "must be nonnegative"),
+     (lambda: Specialization(betas=(-0.1,)), "must be nonnegative"),
+     (lambda: Specialization(gamma=-0.5), "gamma must be nonnegative"),
+     (lambda: pi_w_coefficients(Specialization(), 0.5, -1), "n_max must be >= 0"),
+     (lambda: pi_w_coefficients(Specialization(), 1.0, 3), r"q must lie in \(0,1\)"),
+     (lambda: ModelParams(q=0.5, u=(-1.0,), a=(1.0, 0.9), nu=(0.2,)), "equal length"),
+     (lambda: check_separated("u", (-1.0, -0.5, -1.0), 1e-12),
+      r"u collision: u\[0\] ~ u\[2\] = -1.0")],
+    ids=["poch-n", "alpha", "beta", "gamma", "n-max", "coeff-q", "a-nu-lengths",
+         "separated"],
+)
+def test_guards_name_the_violated_condition(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

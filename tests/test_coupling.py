@@ -176,3 +176,10 @@ def test_report_json_fields():
     doc = json.loads(rep.to_json())
     assert set(doc) == {"check", "params_digest", "tv_distance",
                         "truncation_deficit", "pass"}
+
+
+@pytest.mark.parametrize("prop", [joint_law_check_prop_A, joint_law_check_prop_B])
+@pytest.mark.parametrize("m", [0, 3])
+def test_prop_checks_reject_a_particle_out_of_range(prop, m):
+    with pytest.raises(ValueError, match="m out of range"):
+        prop((0, -2), m, (1.0, 0.9), 0.3, 0.8, 0.5)

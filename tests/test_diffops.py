@@ -244,3 +244,16 @@ def test_key_lemma_and_multilevel():
                 w *= p.q**h - p.q ** (T + 2 - j) * math.prod(p.nu[:Nj])
             rhs2 += w
         assert abs(lhs2 - rhs2) <= 1e-9 * max(abs(rhs2), 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: EvaluablePoint((1.0, 0.9), (0.1,)), "a and nu must have equal length"),
+     (lambda: phi_m(EvaluablePoint((1.0,), (0.1,)), (-1.0,), 2), "M exceeds point arity"),
+     (lambda: apply_D(lambda pt: 1.0, 2, EvaluablePoint((1.0, 1.0), (0.1, 0.2)), 0.5),
+      r"a collision: a\[0\] ~ a\[1\] = 1.0")],
+    ids=["point-lengths", "phi-arity", "a-collision"],
+)
+def test_guards_name_the_violated_condition(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

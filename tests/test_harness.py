@@ -130,6 +130,51 @@ def test_run_suite_leaves_fixed_size_checks_unscaled():
     ]
 
 
+def test_run_suite_creates_out_dir_before_any_check(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setitem(harness.CHECKS, "formal-identity", lambda **kw: calls.append(kw))
+    (tmp_path / "file").write_text("")
+    with pytest.raises(FileExistsError):
+        run_suite(["formal-identity"], out_dir=tmp_path / "file")
+    assert calls == []
+
+
+# at this check seed the N=1 quadrature's grid doubling moves the value by
+# 1.0011e-10, just over its 1e-10 bound, and raises QuadratureError
+QUADRATURE_ERROR_SEED = 3273534616666675981
+
+
+def test_arithmetic_error_in_a_check_is_a_failure():
+    alone = harness.CHECKS["qwhittaker-n1"](seed=QUADRATURE_ERROR_SEED)
+    assert not alone.passed and alone.statistic == math.inf
+    assert alone.details["error"].startswith(
+        "QuadratureError: grid doubling moved the value by 1.0011"
+    )
+    # the suite goes on past the failed check
+    code, results = run_suite(["qwhittaker-n1", "formal-identity"], seed=QUADRATURE_ERROR_SEED)
+    assert code == 1 and [r.passed for r in results] == [False, True]
+    assert results[0].payload() == alone.payload()
+
+
+def test_check_turns_only_arithmetic_errors_into_failures(monkeypatch):
+    monkeypatch.setattr(harness, "CHECKS", dict(harness.CHECKS))
+
+    @harness.check("divides-by-seed", 1.0, budget=None)
+    def divides(seed, tol):
+        return 1 / seed <= tol, 1 / seed
+
+    @harness.check("rejects-input", 1.0, budget=None)
+    def rejects(seed, tol):
+        raise ValueError("not an arithmetic error")
+
+    assert divides(seed=2).passed
+    r = divides(seed=0)
+    assert (r.passed, r.statistic) == (False, math.inf)
+    assert r.details == {"error": "ZeroDivisionError: division by zero"}
+    with pytest.raises(ValueError, match="not an arithmetic error"):
+        rejects()
+
+
 def test_reports_reproducible():
     _, r1 = run_suite(["stochasticity", "sum-to-one"], seed=7)
     _, r2 = run_suite(["stochasticity", "sum-to-one"], seed=7)

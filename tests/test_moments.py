@@ -245,3 +245,41 @@ def test_moments_import_leaves_the_vertex_sampler_unloaded():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: build_nested_a_contours((0.0, 1.0), [], 0.5, 1), "a cluster must be positive"),
+     (lambda: build_nested_a_contours((1.0,), [0.9], 0.5, 1),
+      "excluded pole 0.9 is not to the right"),
+     # q^(ell-1) * a underflows, so the gap g is 0 and the inner left edge too
+     (lambda: build_nested_a_contours((1e-200,), [], 1e-200, 2),
+      "inner contour cannot separate"),
+     # a circle narrower than the 1e-9 margin
+     (lambda: build_nested_a_contours((1e-12,), [], 0.5, 1),
+      "required point 1e-12 not inside"),
+     # the innermost left edge, g = 4.6e-10, lies within the margin of zero
+     (lambda: build_nested_a_contours((1e-7,), [], 0.1, 3),
+      "excluded point 0.0 not outside"),
+     # q within 1e-10 of 1: q times a circle reaches its right edge
+     (lambda: build_nested_a_contours((1.0,), [], 1 - 1e-10, 2), "nesting violated"),
+     # a_2 = q a_1: a residue at a_2 meets the cross pole q a_1
+     (lambda: product_moment_residues(
+         (2, 2), 1, ModelParams(q=0.5, u=(-1.0,), a=(1.0, 0.5), nu=(0.3, 0.2))),
+      r"pole collision at 0.5 ~ q\*1.0"),
+     (lambda: product_moment_residues((1, 0), 1, _params()), "entries must be >= 1"),
+     (lambda: moment_height_residues(
+         (1,), 2, ModelParams(q=0.5, u=(-1.0, -1.0), a=(1.0,), nu=(0.3,))),
+      r"u collision: u\[0\] ~ u\[1\]"),
+     (lambda: formal_identity_check(2, [1.0], [1.0, 2.0], 0.5), "must have length ell"),
+     (lambda: moment_qwhittaker(1, 1, Specialization(alphas=(1.0,)), (1.0,), 0.5),
+      r"\|a_i alpha_j\| = 1.0 >= 1"),
+     (lambda: moment_qwhittaker(1, 1, Specialization(betas=(0.3,)), (1.0,), 0.5,
+                                method="simpson"), "unknown method 'simpson'")],
+    ids=["cluster-positive", "excluded-pole", "inner-contour", "point-inside",
+         "zero-outside", "nesting", "a-pole-collision", "n-list-zero", "u-collision",
+         "identity-lengths", "qwhittaker-divergent", "qwhittaker-method"],
+)
+def test_guards_name_the_violated_condition(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -385,3 +385,35 @@ def test_geom_cdf_rows_exact_and_cut_at_tail(alpha, q):
     for m in (m_cap, m_cap + 7, 2 * m_cap):
         tv = 0.5 * sum(abs(q_geom_pmf(m, alpha, q, j) - inf.get(j, 0.0)) for j in range(m + 1))
         assert tv <= GEOM_TAIL_CUT
+
+
+def test_q_geom_law_is_memoized_and_read_only():
+    law = q_geom_law(3, 0.4, 0.5)
+    assert q_geom_law(3, 0.4, 0.5) is law
+    pairs, deficit = law
+    assert type(pairs) is tuple and deficit == 0.0
+    assert pairs == tuple((j, q_geom_pmf(3, 0.4, 0.5, j)) for j in range(4))
+
+
+# a_1 = 3 with alpha = c_2 = 0.5: particle 1 jumps at rate 1.5
+_TOO_FAST = ModelParams(q=0.5, u=(-1.0,), a=(3.0, 1.0), nu=(0.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: q_geom_pmf(3, 1.0, 0.5, 0), r"alpha must lie in \(0,1\), got 1.0"),
+     (lambda: q_geom_pmf(INFINITY, 0.0, 0.5, 0), r"alpha must lie in \(0,1\), got 0.0"),
+     (lambda: q_geom_pmf(3, 0.3, 0.5, -1), "j must be >= 0"),
+     (lambda: geometric_move(ParticleConfig.step(2), _TOO_FAST.a, 0.5, 0.5, stream(0)),
+      r"alpha must lie in \(0,1\), got 1.5"),
+     (lambda: run_mixed(TimeLikePath.from_moves("N"), _TOO_FAST, seed=0),
+      r"alpha must lie in \(0,1\), got 1.5"),
+     (lambda: bernoulli_move(ParticleConfig.step(2), (1.0, 1.0), 0.0, 0.5, stream(0)),
+      "beta must be > 0"),
+     (lambda: TimeLikePath.from_moves("NX"), "unknown move 'X'")],
+    ids=["pmf-alpha-one", "pmf-alpha-zero", "pmf-j", "geometric-move-rate",
+         "run-mixed-rate", "bernoulli-beta", "path-move"],
+)
+def test_guards_name_the_violated_condition(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -344,3 +344,26 @@ def test_asymptotic_equivalence_proxy_shift_structure():
     # genuine distribution function
     ks = asymptotic_equivalence_proxy(0.5, -2.0, 1.0, 1.0, 2.0, 5, 40_000, seed=7)
     assert 0.0 < ks < 0.5
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: SchurSetup(q=1.0, u=-1.0, a1=1.0, N=1, T=1), r"q must lie in \(0,1\)"),
+     (lambda: SchurSetup(q=0.5, u=-1.0, a1=1.0, N=0, T=1), "need N >= 1, T >= 0"),
+     (lambda: SchurSetup(q=0.5, u=-1.0, a1=1.0, N=1, T=-1), "need N >= 1, T >= 0"),
+     # at |u| = 1e-17 the center c is 5e16, and 1 + c rounds to c
+     (lambda: schur_kernel_matrix(SchurSetup(q=0.5, u=-1e-17, a1=1.0, N=1, T=1), [0]),
+      "kernel contours infeasible"),
+     (lambda: prob_length_exceeds(-1, _setup(), cutoff=2), "cutoff 2 too small")],
+    ids=["q", "N", "T", "kernel-radii", "cutoff"],
+)
+def test_guards_name_the_violated_condition(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_equivalence_proxy_above_the_fredholm_table():
+    # T = int(0.1 * 3) = 0: lambda is empty, and particle 3 cannot move in two
+    # geometric moves from the step configuration, so both laws sit at 0;
+    # every sample y = 0 lies above the Fredholm table (k = T - y - 1 < 0)
+    assert asymptotic_equivalence_proxy(0.5, -1.0, 1.0, 1.0, 0.1, 3, 20, seed=0) == 0.0

@@ -269,3 +269,23 @@ def test_height_field_rejects_indices_outside_window():
     for N, T in [(0, 2), (5, 0), (1, -1), (1, 3)]:
         with pytest.raises(ValueError, match="outside the window"):
             hf.h(N, T)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda p: vertex_weight_row(-1.0, 1.0, 0.5, 0, 2, 0.5), "j1 must be 0 or 1"),
+     (lambda p: vertex_weight_row(-1.0, 1.0, 0.5, -1, 0, 0.5), "i1 must be a nonnegative"),
+     (lambda p: vertex_weight_row(-1.0, 1.0, 0.5, 1.5, 1, 0.5), "i1 must be a nonnegative"),
+     (lambda p: sample_quadrant(p, STEP, (0, 2), 0), r"window too small: \(0, 2\)"),
+     (lambda p: sample_quadrant_batch(p, STEP, (3, -1), 5, 0), "window too small"),
+     (lambda p: f_stoch((2, 1), p, 3), "exactly T parts"),
+     (lambda p: f_stoch((2, 0), p, 2), "all >= 1"),
+     (lambda p: f_stoch((11,), p, 1), "exceeds available columns"),
+     (lambda p: f_stoch((1, 1), ModelParams(q=0.5, u=(-1.0, -1.0), a=(1.0,), nu=(0.2,)), 2),
+      r"u collision: u\[0\] ~ u\[1\]")],
+    ids=["j1", "i1-negative", "i1-fractional", "window-columns", "window-rows",
+         "kappa-length", "kappa-zero-part", "kappa-columns", "u-collision"],
+)
+def test_guards_name_the_violated_condition(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(_params())
