@@ -165,6 +165,9 @@ class ModelParams:
         object.__setattr__(self, "u", tuple(float(x) for x in self.u))
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
         object.__setattr__(self, "nu", tuple(float(x) for x in self.nu))
+        for name, values in (("q", (self.q,)), ("u", self.u), ("a", self.a), ("nu", self.nu)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {name} = {getattr(self, name)}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
         if any(x >= 0 for x in self.u):

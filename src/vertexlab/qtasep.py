@@ -9,31 +9,17 @@ import functools
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import INFINITY, ModelParams, check_window, inv_cdf, q_pochhammer, replica_count
-from .rng import _draws_at, stream
+from .rng import _draws_at, _run_chunks, stream
 
 # Inverse-CDF sampling of the infinite-gap jump law is cut once the
 # cumulative mass reaches 1 - GEOM_TAIL_CUT; the cut is certified by the
 # geometric decay alpha^j of the weights.
 GEOM_TAIL_CUT = 1e-14
-
-# A chunk of replica rows draws at most this many uniforms a move (rows x L),
-# and a larger batch is cut into at least one chunk per CPU; a batch that fits
-# in one chunk runs on the calling thread.  Measured on a 2-core host: two
-# threads were slower than one below about 24,000 uniforms a move and faster
-# from 32,000 (starting them costs 1-1.5 ms a call); at M = 1000 with 500
-# replicas on the Tracy-Widom path, chunks of 2^15 uniforms took 26 s, 2^16
-# took 29 s and one chunk per CPU 31 s.  The bound also caps the temporaries
-# that each worker's malloc arena keeps after the call: with one chunk per CPU
-# the default suite's peak RSS rose by 37 MB, with this bound by 3.5 MB.
-_CHUNK_UNIFORMS = 2**15
-
 
 def q_geom_pmf(m, alpha: float, q: float, j: int) -> float:
     """q-deformed truncated geometric weight p_{m,alpha}(j), 0 <= j <= m.
@@ -273,12 +259,6 @@ def _geom_cdf_rows(alpha: float, q: float) -> np.ndarray:
     return np.cumsum(table, axis=1)
 
 
-def _chunk_count() -> int:
-    """Fewest replica chunks of a batch above _CHUNK_UNIFORMS: one per CPU
-    this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
 def sample_mixed_batch(
     p: ModelParams,
     N: int,
@@ -301,17 +281,14 @@ def sample_mixed_batch(
 
     Move m reads the R * L uniforms at positions m * R * L onward of
     stream(seed, 0), row by row: R x L for a Bernoulli move, R x (L - 1) for
-    particles 2..L and then R for particle 1 for a geometric move.  A chunk
-    of rows reads its own part of that range by position (rng._draws_at), so
-    a batch above _CHUNK_UNIFORMS uniforms a move runs as chunks of at most
-    that many, at least one per CPU, on one thread per CPU, and the bits do
-    not depend on the split."""
+    particles 2..L and then R for particle 1 for a geometric move.  The rows
+    run in chunks of rng._run_chunks, each reading its own part of that
+    range by position, so the bits do not depend on the split."""
     R = replica_count(n_samples)
     if N < 1 or T < 0:
         raise ValueError(f"need N >= 1 and T >= 0, got N = {N}, T = {T}")
     path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)
     L = path.window(p, L)
-    rng = stream(seed, 0)
     a = np.array(p.a[:L])
     rates, bulk = set(p.a[:L]), set(p.a[1:L])
     tables = {}  # rate a_i * alpha -> (cdf table, rows laid out on [m, m+1))
@@ -333,49 +310,67 @@ def sample_mixed_batch(
         moves.append((move, param, bulk_tables, tables[a[0] * param][0][-1]))
     X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
     k_cap = _gap_cap(p.q)
-    qpow = p.q ** np.arange(k_cap + 1, dtype=np.float64)
-    idx2 = np.arange(2, 2 * L + 1, 2, dtype=np.int32)
+    # 1 - q^gap indexed by the distance x_{i-1} - x_i = gap + 1, cut at
+    # k_cap + 1; distance 0 stands for the virtual x_0, which never blocks
+    unblocked = np.r_[1.0, 1.0 - p.q ** np.arange(k_cap + 1, dtype=np.float64)]
 
     def _advance_rows(r0: int, r1: int, rng: np.random.Generator):
         """Run every move on rows [r0, r1) of X.  It calls only numpy and
         private helpers, so it may run on a worker thread."""
+        n = r1 - r0
         Xr = X[r0:r1]
-        V, A = np.empty((r1 - r0, L)), np.empty((r1 - r0, L), dtype=bool)
-        U, first = np.empty((r1 - r0, L - 1)), np.empty(r1 - r0)
+        Xf = Xr.reshape(-1)
+        V, P = np.empty((n, L)), np.empty((n, L))
+        A, B = np.empty((n, L), dtype=bool), np.empty((n, L), dtype=bool)
+        dist = np.zeros((n, L), dtype=np.int64)
+        dist_f = dist.reshape(-1)
+        # code 2i (stays even when pushed) or 2i + 1 (jumps even when blocked)
+        # of particle i, lifted by r * (2L + 2) in row r: particle 1 always
+        # decides (code >= 2), so one running maximum over the flattened
+        # chunk never carries a code from one row into the next, and the
+        # even lift keeps the parity
+        lift = np.arange(n, dtype=np.int32)[:, None] * (2 * L + 2)
+        lift = lift + np.arange(2, 2 * L + 1, 2, dtype=np.int32)
+        code = np.empty((n, L), dtype=np.int32)
+        flat = code.reshape(-1)
+        U, first = np.empty((n, L - 1)), np.empty(n)
         k = 0
         for m, (move, param, bulk_tables, first_cdf) in enumerate(moves):
             start = m * R * L
             if move == "BER":
                 p_jump = a * param / (1.0 + a * param)
                 _draws_at(rng, start + r0 * L, V)
-                gaps = np.minimum(Xr[:, :-1] - Xr[:, 1:] - 1, k_cap)
-                np.less(V[:, 0], p_jump[0], out=A[:, 0])
-                np.less(V[:, 1:], p_jump[1:] * (1.0 - qpow[gaps]), out=A[:, 1:])
-                code = ((V >= p_jump) | A) * idx2 + A
-                Xr += np.maximum.accumulate(code, axis=1) & 1
+                # distances within each row, in one pass over the flattened
+                # rows; column 0 gets the virtual x_0's distance 0
+                np.subtract(Xf[:-1], Xf[1:], out=dist_f[1:])
+                np.minimum(dist_f, k_cap + 1, out=dist_f)
+                dist[:, 0] = 0
+                np.take(unblocked, dist, out=P)
+                P *= p_jump
+                np.less(V, P, out=A)
+                np.greater_equal(V, p_jump, out=B)
+                B |= A
+                np.multiply(B, lift, out=code)
+                code += A
+                np.maximum.accumulate(flat, out=flat)
+                code &= 1
+                Xr += code
                 k = L - 1
                 continue
             _draws_at(rng, start + r0 * (L - 1), U)
             gaps = Xr[:, :k] - Xr[:, 1 : k + 1] - 1
-            for ai, cdf, flat in bulk_tables:
+            for ai, cdf, flat_cdf in bulk_tables:
                 free = (gaps > 0) & (a[1 : k + 1] == ai)
                 m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
                 g = gaps[free]
                 rows = np.minimum(g, m_cap)
-                j = np.searchsorted(flat, rows + U[:, :k][free]) - rows * width
+                j = np.searchsorted(flat_cdf, rows + U[:, :k][free]) - rows * width
                 Xr[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
             _draws_at(rng, start + R * (L - 1) + r0, first)
             Xr[:, 0] += np.searchsorted(first_cdf, first)
             k = min(k + 1, L - 1)
 
-    n = min(R, max(_chunk_count(), -(-R * L // _CHUNK_UNIFORMS)))
-    if n < 2 or R * L <= _CHUNK_UNIFORMS:
-        _advance_rows(0, R, rng)
-        return X
-    bounds = [R * i // n for i in range(n + 1)]
-    rngs = [rng] + [stream(seed, 0) for _ in range(n - 1)]
-    with ThreadPoolExecutor(min(n, len(os.sched_getaffinity(0)))) as pool:
-        list(pool.map(_advance_rows, bounds[:-1], bounds[1:], rngs))
+    _run_chunks(_advance_rows, R, L, seed)
     return X
 
 

@@ -41,6 +41,9 @@ class SchurSetup:
     T: int
 
     def __post_init__(self):
+        for name in ("q", "u", "a1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name} = {getattr(self, name)}")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0,1)")
         if self.u >= 0.0:

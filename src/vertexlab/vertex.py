@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import INFINITY, ModelParams, Partition, check_separated, check_window
 from .core import inv_cdf, q_pochhammer, replica_count
-from .rng import stream
+from .rng import _draws_at, _run_chunks, stream
 
 U_COLLISION_TOL = 1e-12
 
@@ -154,36 +154,64 @@ def sample_quadrant_batch(
     p: ModelParams, boundary: int, window, n_samples: int, seed: int
 ) -> np.ndarray:
     """Vectorized sampler: returns heights of shape (n_samples, t_max+1, n_max+1)
-    with heights[s, T, N-1] = h(N, T).  Used by the Monte Carlo checks."""
+    with heights[s, T, N-1] = h(N, T).  Used by the Monte Carlo checks.
+
+    The uniform of vertex k = (T-1) * n_max + (N-1) for replica s sits at
+    position k * S + s of stream(seed, 0), S = n_samples.  The replicas run
+    in chunks of rng._run_chunks, each sweeping the whole window on its own
+    replicas and reading its own uniforms by position, so the bits do not
+    depend on the split.  The heights are stored replica-last, so
+    heights[:, T, N] is contiguous; the returned array is a view of that
+    storage with replicas first."""
     S = replica_count(n_samples)
     check_boundary(p, boundary)
     n_max, t_max = _window_check(p, window)
-    rng = stream(seed, 0)
-    m = np.zeros((n_max, S), dtype=np.int32)
-    suffix = np.empty_like(m)
     # heights are at most t_max; int16 halves the memory of large batches
     dtype = np.int16 if t_max < 2**15 else np.int32
-    heights = np.zeros((S, t_max + 1, n_max + 1), dtype=dtype)
-    exited = np.zeros(S, dtype=np.int32)
-    qpow = p.q ** np.arange(t_max + 1)  # a column holds at most t_max paths
-    step = np.array([-1, 1], dtype=np.int32)
-    for T in range(1, t_max + 1):
-        u = p.u[T - 1]
-        j = np.ones(S, dtype=bool)
-        for g, a, nu in zip(m, p.a, p.nu):
-            qg = qpow[g]
-            denom = 1.0 - a * u
-            first = rng.random(S) < np.where(
-                j, (nu * qg - a * u) / denom, (1.0 - a * u * qg) / denom
-            )
-            g += step[j.view(np.uint8)] * ~first
-            j = j == first
-        exited += j
-        np.cumsum(m[::-1], axis=0, dtype=np.int32, out=suffix)
-        suffix += exited
-        heights[:, T, :n_max] = suffix[::-1].T
-        heights[:, T, n_max] = exited
-    return heights
+    heights = np.zeros((t_max + 1, n_max + 1, S), dtype=dtype)
+    W = t_max + 1  # a column holds at most t_max paths
+    qpow = p.q ** np.arange(W)
+
+    def _sweep(s0: int, s1: int, rng: np.random.Generator):
+        """Sweep the window on replicas [s0, s1).  It calls only numpy and
+        private helpers, so it may run on a worker thread."""
+        n = s1 - s0
+        m = np.zeros((n_max, n), dtype=np.int32)
+        suffix = np.empty_like(m)
+        exited = np.zeros(n, dtype=np.int32)
+        j = np.empty(n, dtype=bool)
+        first = np.empty(n, dtype=bool)
+        draws, cut = np.empty(n), np.empty(n)
+        at = np.empty(n, dtype=np.intp)
+        # acceptance threshold of the first outcome, by g for j = 0 and then
+        # by g for j = 1
+        row = np.empty(2 * W)
+        k = 0
+        for T in range(1, t_max + 1):
+            u = p.u[T - 1]
+            j.fill(True)
+            for g, a, nu in zip(m, p.a, p.nu):
+                denom = 1.0 - a * u
+                np.divide(1.0 - a * u * qpow, denom, out=row[:W])
+                np.divide(nu * qpow - a * u, denom, out=row[W:])
+                np.multiply(j, W, out=at)
+                at += g
+                np.take(row, at, out=cut)
+                np.less(_draws_at(rng, k * S + s0, draws), cut, out=first)
+                # unless first: g rises by one if j = 1, falls by one if
+                # j = 0, and j flips
+                g += j
+                np.equal(j, first, out=j)
+                g -= j
+                k += 1
+            exited += j
+            np.cumsum(m[::-1], axis=0, dtype=np.int32, out=suffix)
+            suffix += exited
+            heights[T, :n_max, s0:s1] = suffix[::-1]
+            heights[T, n_max, s0:s1] = exited
+
+    _run_chunks(_sweep, S, 1, seed)
+    return np.moveaxis(heights, -1, 0)
 
 
 def row_partitions(t: int, cap: int):

@@ -201,6 +201,28 @@ def test_usage_errors_name_the_flag(argv, flag, config, capsys):
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize(
+    "config_text,argv,message",
+    [('{"q": 0.5, "u": [NaN, -0.8], "a": [1.0, 0.9], "nu": [0.0, 0.3]}',
+      ["sample-vertex", "--window", "2,2"], "u must be finite"),
+     ('{"q": 0.5, "u": [-1.0, -0.8], "a": [1.0, Infinity], "nu": [0.0, 0.3]}',
+      ["sample-vertex", "--window", "2,2"], "a must be finite"),
+     (None, ["schur", "--mode", "length-pmf", "--u", "nan", "--a1", "nan", "--N", "2",
+             "--T", "2"], "u must be finite")],
+    ids=["vertex-u-nan", "vertex-a-inf", "schur-u-nan"],
+)
+def test_non_finite_parameters_are_usage_errors(config_text, argv, message, tmp_path,
+                                                capsys):
+    # Python's json reads NaN and Infinity; these inputs used to exit 0
+    if config_text is not None:
+        config = tmp_path / "params.json"
+        config.write_text(config_text)
+        argv = argv + ["--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_boundary_order_beyond_the_columns_is_a_usage_error(tmp_path, capsys):
     # every nu is zero, so the boundary's nu_1..nu_r = 0 test reaches column 5
     p = ModelParams(q=0.5, u=(-1.0,), a=(1.0, 0.9, 1.1, 0.95), nu=(0.0,) * 4)
@@ -368,5 +390,6 @@ def test_verify_exits_1_when_a_check_raises_arithmetic_error(tmp_path, capsys):
     assert main(["verify", str(spec), "--seed", "3273534616666675981", "--out", str(out)]) == 1
     printed = capsys.readouterr().out
     assert "FAIL qwhittaker-n1: statistic=inf" in printed and "PASS formal-identity" in printed
-    doc = json.loads((out / "qwhittaker-n1.json").read_text(), parse_constant=float)
+    doc = json.loads((out / "qwhittaker-n1.json").read_text())
+    assert doc["statistic"] is None
     assert doc["details"]["error"].startswith("QuadratureError: grid doubling")

@@ -203,9 +203,17 @@ def test_replica_count_must_be_a_nonnegative_integer(sampler, n_samples):
      (lambda: pi_w_coefficients(Specialization(), 1.0, 3), r"q must lie in \(0,1\)"),
      (lambda: ModelParams(q=0.5, u=(-1.0,), a=(1.0, 0.9), nu=(0.2,)), "equal length"),
      (lambda: check_separated("u", (-1.0, -0.5, -1.0), 1e-12),
-      r"u collision: u\[0\] ~ u\[2\] = -1.0")],
+      r"u collision: u\[0\] ~ u\[2\] = -1.0"),
+     (lambda: ModelParams(q=math.nan, u=(-1.0,), a=(1.0,), nu=(0.2,)), "q must be finite"),
+     (lambda: ModelParams(q=0.5, u=(math.nan, -0.8), a=(1.0,), nu=(0.2,)),
+      r"u must be finite, got u = \(nan, -0.8\)"),
+     (lambda: ModelParams(q=0.5, u=(-math.inf,), a=(1.0,), nu=(0.2,)), "u must be finite"),
+     (lambda: ModelParams(q=0.5, u=(-1.0,), a=(1.0, math.inf), nu=(0.2, 0.3)),
+      r"a must be finite, got a = \(1.0, inf\)"),
+     (lambda: ModelParams(q=0.5, u=(-1.0,), a=(math.nan,), nu=(0.2,)), "a must be finite"),
+     (lambda: ModelParams(q=0.5, u=(-1.0,), a=(1.0,), nu=(math.nan,)), "nu must be finite")],
     ids=["poch-n", "alpha", "beta", "gamma", "n-max", "coeff-q", "a-nu-lengths",
-         "separated"],
+         "separated", "q-nan", "u-nan", "u-inf", "a-inf", "a-nan", "nu-nan"],
 )
 def test_guards_name_the_violated_condition(call, message):
     with pytest.raises(ValueError, match=message):

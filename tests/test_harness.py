@@ -156,6 +156,23 @@ def test_arithmetic_error_in_a_check_is_a_failure():
     assert results[0].payload() == alone.payload()
 
 
+def test_reports_are_strict_json(tmp_path, monkeypatch):
+    # an infinite statistic and NaN or infinite details used to be written
+    # as the non-JSON literals Infinity and NaN
+    monkeypatch.setattr(harness, "CHECKS", dict(harness.CHECKS))
+
+    @harness.check("no-evidence", 1.0, budget=None)
+    def no_evidence(seed, tol):
+        return False, math.inf, {"p": math.nan, "z": [-math.inf, 1.5], "n": 3}
+
+    code, _ = run_suite(["no-evidence"], out_dir=tmp_path)
+    assert code == 1
+    doc = json.loads((tmp_path / "no-evidence.json").read_text(),
+                     parse_constant=pytest.fail)
+    assert doc["statistic"] is None
+    assert doc["details"] == {"p": None, "z": [None, 1.5], "n": 3}
+
+
 def test_check_turns_only_arithmetic_errors_into_failures(monkeypatch):
     monkeypatch.setattr(harness, "CHECKS", dict(harness.CHECKS))
 

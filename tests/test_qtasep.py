@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from vertexlab import harness, qtasep
+from vertexlab import harness, rng
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.qtasep import (
     GEOM_TAIL_CUT,
+    _gap_cap,
     _geom_cdf_rows,
     ParticleConfig,
     TimeLikePath,
@@ -321,20 +322,26 @@ def test_sample_mixed_batch_checks_the_path_as_run_mixed_does():
         run_mixed(TimeLikePath.from_moves("NT"), p0, 0)
 
 
+# a_2 beta is small, so particle 2 falls far behind particle 1 under
+# Bernoulli moves and its gap passes _gap_cap(0.05) = 11, where the kernel
+# reads q^gap as q^11
+_FAR_BEHIND = ModelParams(q=0.05, u=(-20.0,) * 40, a=(1.0, 0.05, 1.0), nu=(0.0, 0.5, 0.5))
+
+
 def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
     pools = []
 
-    class RecordingPool(qtasep.ThreadPoolExecutor):
+    class RecordingPool(rng.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
     def chunked(cpus, chunk_uniforms, p, N, T, R, seed, L):
-        monkeypatch.setattr(qtasep, "_chunk_count", lambda: cpus)
-        monkeypatch.setattr(qtasep, "_CHUNK_UNIFORMS", max(chunk_uniforms, 1))
+        monkeypatch.setattr(rng, "_chunk_count", lambda: cpus)
+        monkeypatch.setattr(rng, "_CHUNK_UNIFORMS", max(chunk_uniforms, 1))
         return sample_mixed_batch(p, N, T, R, seed, L=L)
 
-    monkeypatch.setattr(qtasep, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
     distinct = harness.draw_params(stream(8, 0), 6, 4, bernoulli=True)
     repeated = ModelParams(q=0.45, u=(-1.1,) * 5, a=(1.0, 0.8) * 3,
                            nu=(0.0,) + (0.32, 0.4) * 2 + (0.32,))
@@ -346,6 +353,8 @@ def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
         (distinct, 5, 0, 41, 2**64 - 1, None),  # T = 0: geometric moves only
         (repeated, 6, 5, 30, 5, None),
         (tw, 6, 12, 23, 6, None),  # the Tracy-Widom parameters at M = 6
+        (_FAR_BEHIND, 1, 40, 50, 7, 1),  # one particle a row
+        (_FAR_BEHIND, 1, 40, 50, 8, 3),  # gaps past _gap_cap
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter lock far more often
@@ -368,6 +377,20 @@ def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
     for cpus in (1, 2, 7):
         with pytest.raises(ValueError, match=r"rate violation: a\*alpha = 1.5 >= 1"):
             chunked(cpus, 1, bad, 2, 1, 50, 0, None)
+
+
+def test_bernoulli_scan_matches_run_mixed_at_the_edges():
+    # one replica of a Bernoulli-only path reads its uniforms in the order of
+    # run_mixed, at one particle and past the gap cap
+    path = TimeLikePath.from_moves("T" * 40)
+    widest = 0
+    for L in (1, 3):
+        for seed in range(10):
+            configs = run_mixed(path, _FAR_BEHIND, seed, L=L).configs
+            got = sample_mixed_batch(_FAR_BEHIND, 1, 40, 1, seed, L=L)
+            assert got.shape == (1, L) and tuple(got[0]) == configs[-1].x
+            widest = max([widest] + [g for c in configs[:-1] for g in gaps(c.x)[1:]])
+    assert widest > _gap_cap(_FAR_BEHIND.q)
 
 
 @pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.95, 0.5), (0.05, 0.95), (0.83, 0.3)])

@@ -354,8 +354,16 @@ def test_asymptotic_equivalence_proxy_shift_structure():
      # at |u| = 1e-17 the center c is 5e16, and 1 + c rounds to c
      (lambda: schur_kernel_matrix(SchurSetup(q=0.5, u=-1e-17, a1=1.0, N=1, T=1), [0]),
       "kernel contours infeasible"),
-     (lambda: prob_length_exceeds(-1, _setup(), cutoff=2), "cutoff 2 too small")],
-    ids=["q", "N", "T", "kernel-radii", "cutoff"],
+     (lambda: prob_length_exceeds(-1, _setup(), cutoff=2), "cutoff 2 too small"),
+     (lambda: SchurSetup(q=0.5, u=math.nan, a1=math.nan, N=2, T=2),
+      "u must be finite, got u = nan"),
+     (lambda: SchurSetup(q=0.5, u=-math.inf, a1=1.0, N=2, T=2), "u must be finite"),
+     (lambda: SchurSetup(q=0.5, u=-1.0, a1=math.nan, N=2, T=2),
+      "a1 must be finite, got a1 = nan"),
+     (lambda: SchurSetup(q=0.5, u=-1.0, a1=math.inf, N=2, T=2), "a1 must be finite"),
+     (lambda: SchurSetup(q=math.nan, u=-1.0, a1=1.0, N=2, T=2), "q must be finite")],
+    ids=["q", "N", "T", "kernel-radii", "cutoff", "u-nan", "u-inf", "a1-nan", "a1-inf",
+         "q-nan"],
 )
 def test_guards_name_the_violated_condition(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,10 +1,13 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.harness import draw_params
+from vertexlab import rng
 from vertexlab.rng import stream
 from vertexlab.vertex import (
     STEP,
@@ -132,6 +135,50 @@ def test_scalar_sampler_equals_batch_at_one_replica():
         seed = int(rng.integers(2**63))
         batch = sample_quadrant_batch(p, r, window, 1, seed)[0]
         assert np.array_equal(sample_quadrant(p, r, window, seed).values, batch), k
+
+
+def test_sample_quadrant_batch_bits_do_not_depend_on_chunking(monkeypatch):
+    pools = []
+
+    class RecordingPool(rng.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    def chunked(cpus, chunk_uniforms, p, boundary, window, S, seed):
+        monkeypatch.setattr(rng, "_chunk_count", lambda: cpus)
+        monkeypatch.setattr(rng, "_CHUNK_UNIFORMS", max(chunk_uniforms, 1))
+        return sample_quadrant_batch(p, boundary, window, S, seed)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+    step = draw_params(stream(9, 0), 7, 5)
+    bernoulli = draw_params(stream(9, 1), 7, 5, bernoulli=True)
+    cases = [  # (params, boundary, window, S, seed)
+        (step, STEP, (7, 5), 5, 1),  # fewer replicas than 7 chunks
+        (step, STEP, (3, 4), 0, 2),  # no replica
+        (bernoulli, STEP_BERNOULLI, (6, 5), 1, 3),  # one replica
+        (bernoulli, STEP_BERNOULLI, (5, 3), 41, 2**64 - 1),
+        (step, STEP, (7, 0), 23, 4),  # T = 0: no vertex
+        (step, STEP, (1, 5), 30, 5),  # N = 1
+        (bernoulli, STEP_BERNOULLI, (7, 5), 2000, 6),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter lock far more often
+    try:
+        for p, boundary, (n_max, t_max), S, seed in cases:
+            window = (n_max, t_max)
+            want = chunked(1, S, p, boundary, window, S, seed)  # one chunk, no thread
+            assert want.shape == (S, t_max + 1, n_max + 1)
+            # 2, 3 and 7 chunks (at most S), then about 4 on one CPU, at a
+            # bound S // 4 + 1 that divides none of the replica counts above 1
+            for cpus, chunk_uniforms in ((2, S - 1), (3, S - 1), (7, S - 1), (1, S // 4 + 1)):
+                got = chunked(cpus, chunk_uniforms, p, boundary, window, S, seed)
+                assert got.shape == want.shape
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+    # never more threads than CPUs
+    assert pools and max(pools) <= len(os.sched_getaffinity(0))
 
 
 def test_step_bernoulli_boundary_law():
