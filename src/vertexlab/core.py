@@ -205,6 +205,19 @@ def check_window(p: ModelParams, n_cols: int, n_rows: int):
         )
 
 
+def check_product_args(N_list, T: int, p: ModelParams, allow_zero: bool = False) -> tuple:
+    """N_list as a tuple of ints; ValueError unless it is non-empty, non-increasing,
+    >= 1 (>= 0 with allow_zero) and inside p's window (check_window)."""
+    N_list = tuple(int(n) for n in N_list)
+    if any(n0 < n1 for n0, n1 in zip(N_list, N_list[1:])):
+        raise ValueError("N_list must be non-increasing")
+    low = 0 if allow_zero else 1
+    if not N_list or N_list[-1] < low:
+        raise ValueError(f"N_list entries must be >= {low}")
+    check_window(p, N_list[0], T)
+    return N_list
+
+
 def replica_count(n_samples) -> int:
     """n_samples as an int; ValueError naming it unless it is an integer
     >= 0 (a bool is not)."""

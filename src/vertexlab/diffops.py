@@ -2,8 +2,8 @@
 operator route to product-form observables.
 
 Operators act on black-box evaluable functions of the column parameters: a
-function is anything callable as f(a_tuple, nu_tuple) -> float, finite on the
-q-shift lattice of the base point.
+function is anything callable as f(EvaluablePoint) -> float, finite on the
+q-shift lattice of the base point (apply_macdonald's f takes the a tuple).
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, check_separated, check_window
-from .moments import _check_product_args
+from .core import ModelParams, check_product_args, check_separated, check_window
 
 A_COLLISION_REL_TOL = 1e-9
 
@@ -83,7 +82,7 @@ def operator_expectation(N_list, T: int, M: int, p: ModelParams) -> float:
     """Product-form observable by the operator route:
     (D_{N_ell} ... D_{N_1} Phi_M) / Phi_M evaluated at the model's (a, nu),
     with cached evaluations on the q-shift lattice."""
-    N_list = _check_product_args(N_list, T, p)
+    N_list = check_product_args(N_list, T, p)
     if M < N_list[0]:
         raise ValueError(f"M = {M} must be >= N_1 = {N_list[0]}")
     check_window(p, M, T)

@@ -18,13 +18,14 @@ import math
 
 import numpy as np
 
-from .core import INFINITY, ModelParams, Specialization, check_separated, check_window
-from .core import q_pochhammer
+from .core import INFINITY, ModelParams, Specialization, check_product_args, check_separated
+from .core import params_digest, pi_w, pi_w_coefficients, q_pochhammer
 
 POLE_COLLISION_TOL = 1e-9
 # nodes per circle by variable count; a 4-variable tensor grid small enough to
-# run (64 nodes) fails the doubling check, so the quadrature stops at 3
-QUAD_NODES = {1: 256, 2: 256, 3: 384}
+# run (64 nodes) fails the doubling check, so the quadrature stops at 3; at 384
+# nodes doubling moved two qwhittaker-n1 draws by 1.07e-10 and 1.001e-10
+QUAD_NODES = {1: 256, 2: 256, 3: 416}
 DOUBLING_TOL = 1e-10
 QLAPLACE_SERIES_TOL = 1e-12
 QLAPLACE_ELL_CAP = 10
@@ -208,24 +209,13 @@ def _product_h_factory(N_j: int, T: int, p: ModelParams):
 def product_moment_residues(N_list, T: int, p: ModelParams) -> float:
     """E prod_j (q^{h(N_j+1,T)} - q^{T+ell-j} nu_1..nu_{N_j}) by iterated
     exact residues on the nested a contours."""
-    N_list = _check_product_args(N_list, T, p)
+    N_list = check_product_args(N_list, T, p)
     h_evals, h_poles = [], []
     for N_j in N_list:
         h, poles = _product_h_factory(N_j, T, p)
         h_evals.append(h)
         h_poles.append(poles)
     return _nested_residue_sum_a(h_evals, h_poles, p.q)
-
-
-def _check_product_args(N_list, T, p, allow_zero=False):
-    N_list = tuple(int(n) for n in N_list)
-    if any(n0 < n1 for n0, n1 in zip(N_list, N_list[1:])):
-        raise ValueError("N_list must be non-increasing")
-    low = 0 if allow_zero else 1
-    if not N_list or N_list[-1] < low:
-        raise ValueError(f"N_list entries must be >= {low}")
-    check_window(p, N_list[0], T)
-    return N_list
 
 
 def _doubled_quadrature(h_list, a_pts, exclusions, q: float):
@@ -259,7 +249,7 @@ def moment_product_quadrature(N_list, T: int, p: ModelParams):
     Returns (value, error_estimate); raises QuadratureError if doubling
     moves the value by more than DOUBLING_TOL.
     """
-    N_list = _check_product_args(N_list, T, p)
+    N_list = check_product_args(N_list, T, p)
     exclusions = [p.a[i] / p.nu[i] for i in range(N_list[0]) if p.nu[i] > 0]
     h_list = [_product_h_factory(N_j, T, p)[0] for N_j in N_list]
     return _doubled_quadrature(h_list, p.a[: N_list[0]], exclusions, p.q)
@@ -287,7 +277,7 @@ def moment_height_residues(N_list, T: int, p: ModelParams) -> float:
     new enclosed poles (u_t^{-1}/q lies outside every contour), so the
     integral collapses to a finite sum over assignments.
     """
-    N_list = _check_product_args(N_list, T, p, allow_zero=True)
+    N_list = check_product_args(N_list, T, p, allow_zero=True)
     ell = len(N_list)
     u = p.u[:T]
     q = p.q
@@ -335,13 +325,12 @@ def moment_height_residues(N_list, T: int, p: ModelParams) -> float:
     return q ** (ell * (ell - 1) // 2) * rec(1, ())
 
 
-def height_moment_from_products(N_list, T: int, p: ModelParams, product_fn=None):
+def height_moment_from_products(N_list, T: int, p: ModelParams, product_fn):
     """Recombine E prod q^{h(N_i+1,T)} from the 2^ell product-form
-    observables via the subset identity of the formal-identity proof."""
-    N_list = _check_product_args(N_list, T, p)
+    observables via the subset identity of the formal-identity proof;
+    product_fn(sub) is the product-form observable of the sub-list sub."""
+    N_list = check_product_args(N_list, T, p)
     ell = len(N_list)
-    if product_fn is None:
-        product_fn = lambda sub: product_moment_residues(sub, T, p)
     q = p.q
     b = [q**T * math.prod(p.nu[: N_r]) for N_r in N_list]
     total = 0.0
@@ -443,8 +432,6 @@ def matching_specialization(p: ModelParams, N: int, T: int) -> Specialization:
 def qwhittaker_n1_pmf(rho: Specialization, a1: float, q: float, n_max: int):
     """Single-variable q-Whittaker measure P(lambda_1 = n) proportional to
     a1^n Q_(n)(rho), from the generating-series coefficients."""
-    from .core import pi_w, pi_w_coefficients
-
     coeffs = pi_w_coefficients(rho, q, n_max)
     norm = pi_w(a1, rho, q)
     return [a1**n * c / norm for n, c in enumerate(coeffs)]
@@ -488,8 +475,6 @@ def q_laplace(N: int, T: int, p: ModelParams, zeta):
 
 def moment_record(formula: str, p: ModelParams, value, method: str, error) -> str:
     """JSON record {formula, params_digest, value, method, error_estimate}."""
-    from .core import params_digest
-
     return json.dumps(
         {
             "formula": formula,

@@ -233,11 +233,12 @@ def _gap_cap(q: float) -> int:
     return math.ceil(math.log(GEOM_TAIL_CUT * (1.0 - q)) / math.log(q))
 
 
-def _geom_cdf_rows(alpha: float, q: float) -> np.ndarray:
-    """Cumulative jump tables for one rate alpha.  Columns j = 0..J end where
-    the infinite-gap law reaches 1 - GEOM_TAIL_CUT; rows m = 0..m_cap-1 are
-    the finite-gap laws and row m_cap = J + _gap_cap(q) is the infinite-gap
-    law, which stands in for every gap >= m_cap."""
+def _geom_cdf_rows(alpha: float, q: float):
+    """Cumulative jump tables (cdf, rows) for one rate alpha.  Columns j = 0..J
+    of cdf end where the infinite-gap law reaches 1 - GEOM_TAIL_CUT; rows
+    m = 0..m_cap-1 are the finite-gap laws and row m_cap = J + _gap_cap(q) is
+    the infinite-gap law, which stands in for every gap >= m_cap.  rows is
+    cdf flattened with row m lifted onto [m, m + 1), searched at m + u."""
     pairs, _ = q_geom_law(INFINITY, alpha, q)
     j_cap = len(pairs) - 1
     m_cap = j_cap + _gap_cap(q)
@@ -256,7 +257,8 @@ def _geom_cdf_rows(alpha: float, q: float) -> np.ndarray:
         j <= m, apow * poch_a[k] * poch_q[m] / (poch_q[j] * poch_q[k]), 0.0
     )
     table[m_cap] = [w for _, w in pairs]
-    return np.cumsum(table, axis=1)
+    cdf = np.cumsum(table, axis=1)
+    return cdf, (cdf + np.arange(m_cap + 1)[:, None]).ravel()
 
 
 def sample_mixed_batch(
@@ -290,24 +292,12 @@ def sample_mixed_batch(
     path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)
     L = path.window(p, L)
     a = np.array(p.a[:L])
-    rates, bulk = set(p.a[:L]), set(p.a[1:L])
-    tables = {}  # rate a_i * alpha -> (cdf table, rows laid out on [m, m+1))
-    # per move: (move, parameter, (a_i, cdf table, laid-out rows) per bulk
-    # rate, particle 1's cdf row), the tables built here, before any worker
-    # starts, and only for geometric moves
-    moves = []
-    for _, _, move, param in path.steps(p):
-        if move == "BER":
-            moves.append((move, param, None, None))
-            continue
-        for ai in rates:
-            if ai * param >= 1.0:
-                raise ValueError(f"rate violation: a*alpha = {ai * param} >= 1")
-            if ai * param not in tables:
-                cdf = _geom_cdf_rows(ai * param, p.q)
-                tables[ai * param] = (cdf, (cdf + np.arange(len(cdf))[:, None]).ravel())
-        bulk_tables = [(ai, *tables[ai * param]) for ai in bulk]
-        moves.append((move, param, bulk_tables, tables[a[0] * param][0][-1]))
+    bulk = set(p.a[1:L])
+    # (cdf, rows) of _geom_cdf_rows per rate a_i * alpha of a geometric move,
+    # built before any worker starts; q_geom_pmf rejects a rate outside (0, 1)
+    rates = {ai * alpha for *_, move, alpha in path.steps(p) if move == "GEOM"
+             for ai in p.a[:L]}
+    tables = {rate: _geom_cdf_rows(rate, p.q) for rate in rates}
     X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
     k_cap = _gap_cap(p.q)
     # 1 - q^gap indexed by the distance x_{i-1} - x_i = gap + 1, cut at
@@ -335,7 +325,7 @@ def sample_mixed_batch(
         flat = code.reshape(-1)
         U, first = np.empty((n, L - 1)), np.empty(n)
         k = 0
-        for m, (move, param, bulk_tables, first_cdf) in enumerate(moves):
+        for m, (*_, move, param) in enumerate(path.steps(p)):
             start = m * R * L
             if move == "BER":
                 p_jump = a * param / (1.0 + a * param)
@@ -359,7 +349,8 @@ def sample_mixed_batch(
                 continue
             _draws_at(rng, start + r0 * (L - 1), U)
             gaps = Xr[:, :k] - Xr[:, 1 : k + 1] - 1
-            for ai, cdf, flat_cdf in bulk_tables:
+            for ai in bulk:
+                cdf, flat_cdf = tables[ai * param]
                 free = (gaps > 0) & (a[1 : k + 1] == ai)
                 m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
                 g = gaps[free]
@@ -367,7 +358,7 @@ def sample_mixed_batch(
                 j = np.searchsorted(flat_cdf, rows + U[:, :k][free]) - rows * width
                 Xr[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
             _draws_at(rng, start + R * (L - 1) + r0, first)
-            Xr[:, 0] += np.searchsorted(first_cdf, first)
+            Xr[:, 0] += np.searchsorted(tables[p.a[0] * param][0][-1], first)
             k = min(k + 1, L - 1)
 
     _run_chunks(_advance_rows, R, L, seed)

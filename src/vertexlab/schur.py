@@ -26,6 +26,8 @@ BETA_FACTOR_TOL = 1e-18
 # partitions per stacked Jacobi-Trudi determinant call; bounds the memory of
 # the brute force whatever T and the part cutoff
 BRUTEFORCE_CHUNK = 8192
+# trapezoid nodes per contour of the correlation kernel's double integral
+KERNEL_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def _running_sum(start: float, w: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([start], w)))[-1])
 
 
-def schur_bruteforce_expectation(s: SchurSetup, observable, part_cutoff: int = 40):
+def schur_bruteforce_expectation(s: SchurSetup, observable, part_cutoff: int):
     """Expectation of observable(lambda) under the Schur measure by direct
     enumeration of partitions with at most T rows and parts <= part_cutoff.
 
@@ -161,7 +163,7 @@ def schur_bruteforce_expectation(s: SchurSetup, observable, part_cutoff: int = 4
     return total
 
 
-def schur_length_pmf(s: SchurSetup, part_cutoff: int = 40) -> dict:
+def schur_length_pmf(s: SchurSetup, part_cutoff: int) -> dict:
     """P(ell(lambda) = k) by brute-force enumeration.
 
     One pass over the partitions bins the weights by length, each bin summed
@@ -197,12 +199,12 @@ def _kernel_radii(s: SchurSetup):
     return c, rho_w, rho_v
 
 
-def schur_kernel_matrix(s: SchurSetup, indices, n_nodes: int = 512) -> np.ndarray:
-    """Correlation kernel K(i, j) of {lambda_k - k} on the given index list,
-    by tensor trapezoid quadrature of the double contour integral."""
+def schur_kernel_matrix(s: SchurSetup, indices) -> np.ndarray:
+    """Correlation kernel K(i, j) of {lambda_k - k} on the given index list, by
+    tensor trapezoid quadrature (KERNEL_NODES a contour) of the double integral."""
     idx = np.asarray(list(indices), dtype=np.int64)
     c, rho_w, rho_v = _kernel_radii(s)
-    n = int(n_nodes)
+    n = KERNEL_NODES
     theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     zv = c + rho_v * np.exp(1j * theta)
     zw = c + rho_w * np.exp(1j * theta)
@@ -234,7 +236,7 @@ def schur_kernel_matrix(s: SchurSetup, indices, n_nodes: int = 512) -> np.ndarra
     return K.real
 
 
-def prob_length_exceeds(x: int, s: SchurSetup, cutoff: int = 30) -> float:
+def prob_length_exceeds(x: int, s: SchurSetup, cutoff: int) -> float:
     """P(-ell(lambda) > x) as the finite determinant det[K(i,j)] over
     {x, x-1, ..., x-cutoff}; sites far below -T are fully occupied so the
     truncated determinant converges, which is checked via the last diagonal

@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from vertexlab import diffops
 from vertexlab.core import INFINITY, ModelParams, q_pochhammer
 from vertexlab.diffops import (
     EvaluablePoint,
@@ -164,6 +169,17 @@ def test_operator_expectation_validation():
         operator_expectation((1, 2), 1, 2, p)  # must be non-increasing
     with pytest.raises(ValueError):
         operator_expectation((3,), 1, 2, p)  # M < N_1
+
+
+def test_diffops_import_leaves_the_contour_routes_unloaded():
+    # the operator route must not import the contour route it is checked against
+    src = str(pathlib.Path(diffops.__file__).parents[1])
+    code = "import sys, vertexlab.diffops; print('vertexlab.moments' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_eigen_action_on_far_configs():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vertexlab import harness
+from vertexlab import harness, moments
 from vertexlab.harness import (
     chi2_gof,
     chi2_two_sample,
@@ -139,12 +139,14 @@ def test_run_suite_creates_out_dir_before_any_check(tmp_path, monkeypatch):
     assert calls == []
 
 
-# at this check seed the N=1 quadrature's grid doubling moves the value by
-# 1.0011e-10, just over its 1e-10 bound, and raises QuadratureError
+# at this check seed the N=1 quadrature's grid doubling at 384 nodes for three
+# variables moves the value by 1.0011e-10, just over its 1e-10 bound, and
+# raises QuadratureError
 QUADRATURE_ERROR_SEED = 3273534616666675981
 
 
-def test_arithmetic_error_in_a_check_is_a_failure():
+def test_arithmetic_error_in_a_check_is_a_failure(monkeypatch):
+    monkeypatch.setitem(moments.QUAD_NODES, 3, 384)
     alone = harness.CHECKS["qwhittaker-n1"](seed=QUADRATURE_ERROR_SEED)
     assert not alone.passed and alone.statistic == math.inf
     assert alone.details["error"].startswith(
@@ -154,6 +156,14 @@ def test_arithmetic_error_in_a_check_is_a_failure():
     code, results = run_suite(["qwhittaker-n1", "formal-identity"], seed=QUADRATURE_ERROR_SEED)
     assert code == 1 and [r.passed for r in results] == [False, True]
     assert results[0].payload() == alone.payload()
+
+
+@pytest.mark.parametrize("seed", [QUADRATURE_ERROR_SEED, 961710])
+def test_qwhittaker_n1_passes_where_384_nodes_missed_the_doubling_bound(seed):
+    # at 384 nodes for three variables, doubling moved these draws by
+    # 1.0011e-10 and 1.067e-10, over the 1e-10 bound
+    res = harness.CHECKS["qwhittaker-n1"](seed=seed)
+    assert res.passed and "error" not in res.details, res.details
 
 
 def test_reports_are_strict_json(tmp_path, monkeypatch):

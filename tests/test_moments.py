@@ -72,7 +72,9 @@ def test_route_triangle():
         assert abs(op - quad) <= 1e-9
         assert abs(quad - res) <= 1e-9
         hres = moment_height_residues(N_list, T, p)
-        hrec = height_moment_from_products(N_list, T, p)
+        hrec = height_moment_from_products(
+            N_list, T, p, lambda sub: product_moment_residues(sub, T, p)
+        )
         assert abs(hres - hrec) <= 1e-9
 
 
@@ -84,7 +86,9 @@ def test_engines_agree_three_variables():
     )
     for N_list, T in [((2, 1, 1), 2), ((3, 2, 1), 3), ((2, 2, 2), 2)]:
         hres = moment_height_residues(N_list, T, p)
-        hrec = height_moment_from_products(N_list, T, p)
+        hrec = height_moment_from_products(
+            N_list, T, p, lambda sub: product_moment_residues(sub, T, p)
+        )
         assert abs(hres - hrec) < 1e-10
         assert 0.0 < hres <= 1.0
 

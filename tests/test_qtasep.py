@@ -372,11 +372,17 @@ def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
         sys.setswitchinterval(interval)
     # never more threads than CPUs
     assert pools and max(pools) <= len(os.sched_getaffinity(0))
-    # a_1 * c_2 = 1.5: the rate violation is raised before any worker starts
-    bad = ModelParams(q=0.5, u=(-1.0,), a=(3.0, 1.0), nu=(0.0, 0.5))
-    for cpus in (1, 2, 7):
-        with pytest.raises(ValueError, match=r"rate violation: a\*alpha = 1.5 >= 1"):
-            chunked(cpus, 1, bad, 2, 1, 50, 0, None)
+    # a rate a_i * alpha outside (0, 1) is rejected by q_geom_pmf while the
+    # jump tables are built, before any worker starts: a_1 * c_2 = 1.5, and
+    # then a_2 * c_3 = 1.0 at particle 2 only (a_1 * c_3 = 0.5)
+    bad_first = ModelParams(q=0.5, u=(-1.0,), a=(3.0, 1.0), nu=(0.0, 0.5))
+    bad_bulk = ModelParams(q=0.5, u=(-1.0,), a=(1.0, 2.0, 1.0), nu=(0.0, 0.3, 0.5))
+    for bad, N, rate in ((bad_first, 2, "1.5"), (bad_bulk, 3, "1.0")):
+        for cpus in (1, 2, 7):
+            pools.clear()
+            with pytest.raises(ValueError, match=rf"alpha must lie in \(0,1\), got {rate}$"):
+                chunked(cpus, 1, bad, N, 1, 50, 0, None)
+            assert pools == []
 
 
 def test_bernoulli_scan_matches_run_mixed_at_the_edges():
@@ -395,7 +401,9 @@ def test_bernoulli_scan_matches_run_mixed_at_the_edges():
 
 @pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.95, 0.5), (0.05, 0.95), (0.83, 0.3)])
 def test_geom_cdf_rows_exact_and_cut_at_tail(alpha, q):
-    cdf = _geom_cdf_rows(alpha, q)
+    cdf, rows = _geom_cdf_rows(alpha, q)
+    # rows lays row m of cdf out on [m, m + 1), sorted for one searchsorted
+    assert rows.shape == (cdf.size,) and np.all(np.diff(rows) >= 0)
     m_cap, j_cap = cdf.shape[0] - 1, cdf.shape[1] - 1
     for m in (0, 1, j_cap // 2, j_cap, m_cap - 1):
         row = [q_geom_pmf(m, alpha, q, j) for j in range(min(m, j_cap) + 1)]

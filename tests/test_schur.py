@@ -141,11 +141,12 @@ def test_bruteforce_normalization_and_empty_weight():
         schur_bruteforce_expectation(s, lambda lam: 1.0, part_cutoff=3)
 
 
-def test_kernel_real_and_grid_stable():
+def test_kernel_real_and_grid_stable(monkeypatch):
     s = _setup()
     idx = list(range(3, -7, -1))
-    K1 = schur_kernel_matrix(s, idx, 256)
-    K2 = schur_kernel_matrix(s, idx, 512)
+    K2 = schur_kernel_matrix(s, idx)
+    monkeypatch.setattr(schur, "KERNEL_NODES", schur.KERNEL_NODES // 2)
+    K1 = schur_kernel_matrix(s, idx)
     assert np.abs(K1 - K2).max() <= 1e-10
 
 
@@ -161,14 +162,14 @@ def test_kernel_diagonal_counts():
             part_cutoff=42,
         )
         idx = list(range(x0 + 29, x0 - 1, -1))
-        kern = float(np.trace(schur_kernel_matrix(s, idx, 512)))
+        kern = float(np.trace(schur_kernel_matrix(s, idx)))
         assert abs(brute - kern) < 1e-6
 
 
 def test_prob_length_exceeds_limits():
     s = _setup()
-    assert prob_length_exceeds(0, s) == 0.0
-    assert prob_length_exceeds(2, s) == 0.0
+    assert prob_length_exceeds(0, s, cutoff=25) == 0.0
+    assert prob_length_exceeds(2, s, cutoff=25) == 0.0
     assert abs(prob_length_exceeds(-s.T - 5, s, cutoff=25) - 1.0) < 1e-8
     # nonincreasing in x
     vals = [prob_length_exceeds(x, s, cutoff=25) for x in range(-s.T - 2, 0)]
