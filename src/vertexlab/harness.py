@@ -469,17 +469,18 @@ def check_distribution_equality(seed, budget, tol):
     heights = vertex.sample_quadrant_batch(
         p, vertex.STEP_BERNOULLI, (6, 4), budget, seed
     )
-    for N, T in itertools.product((1, 2, 3, 4), (1, 2, 3, 4)):
-        hv = heights[:, T, N]
-        xv = qtasep.sample_mixed_batch(
-            p, N, T, budget, offset_seed(seed, 77 + N + 10 * T)
-        )
-        xs = xv[:, N - 1] + N
-        cells = int(max(hv.max(), xs.max())) + 1
-        c1, c2 = (np.bincount(v.astype(np.int64), minlength=cells) for v in (hv, xs))
-        _, pval = chi2_two_sample(c1, c2)
-        details[f"N={N},T={T}"] = round(pval, 6)
-        worst_p = _min_p(worst_p, pval, details, f"N={N},T={T}")
+    for N in (1, 2, 3, 4):
+        # X(P) along N^{N-1} T^4: column N - 1 + T is x_N(N, T) + N
+        path = qtasep.TimeLikePath.from_moves("N" * (N - 1) + "T" * 4)
+        xp = qtasep.sample_mixed_path(path, p, budget, offset_seed(seed, 77 + N))
+        for T in (1, 2, 3, 4):
+            hv = heights[:, T, N]
+            xs = xp[:, N - 1 + T]
+            cells = int(max(hv.max(), xs.max())) + 1
+            c1, c2 = (np.bincount(v.astype(np.int64), minlength=cells) for v in (hv, xs))
+            _, pval = chi2_two_sample(c1, c2)
+            details[f"N={N},T={T}"] = round(pval, 6)
+            worst_p = _min_p(worst_p, pval, details, f"N={N},T={T}")
     return worst_p > tol, worst_p, details
 
 
@@ -489,15 +490,16 @@ def check_schur_matching(seed, budget, tol):
     Schur expectation, special parameters nu_i = q."""
     worst_dev = 0.0
     details = {}
+    q, u, a1 = 0.5, -2.0, 1.3
+    # special_params has the same columns and rows in every window, and
+    # h(N+1, T) depends only on columns <= N and rows <= T, so the (5, 3)
+    # window holds every cell
+    p = schur.special_params(q, u, a1, 5, 3)
+    heights = vertex.sample_quadrant_batch(
+        p, vertex.STEP_BERNOULLI, (5, 3), budget, seed
+    )
     for N, T in itertools.product((1, 2, 3), (1, 2, 3)):
-        q = 0.5
-        u = -2.0
-        a1 = 1.3
         s = schur.SchurSetup(q=q, u=u, a1=a1, N=N, T=T)
-        p = schur.special_params(q, u, a1, N + 2, T)
-        heights = vertex.sample_quadrant_batch(
-            p, vertex.STEP_BERNOULLI, (N + 2, T), budget, offset_seed(seed, N + 10 * T)
-        )
         hv = heights[:, T, N]
         for zeta in (0.3, 1.0):
             vals = moments.q_laplace_observable(hv, -zeta, q)

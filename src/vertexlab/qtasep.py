@@ -272,7 +272,8 @@ def sample_mixed_batch(
     """Vectorized mixed q-TASEP from the step configuration along the path
     N^{N-1} T^T, with the moves of `TimeLikePath.steps`.  Jump laws and q^gap
     are cut at GEOM_TAIL_CUT (see _geom_cdf_rows and _gap_cap).  Returns
-    positions of shape (n_samples, L).
+    positions of shape (n_samples, L).  `sample_mixed_path` runs the same
+    kernel along any time-like path and returns X(P) at every path point.
 
     Each move draws one uniform per replica and particle.  Only the first k
     gaps can be positive (k = 0 at the start, +1 per geometric move, all
@@ -286,11 +287,41 @@ def sample_mixed_batch(
     particles 2..L and then R for particle 1 for a geometric move.  The rows
     run in chunks of rng._run_chunks, each reading its own part of that
     range by position, so the bits do not depend on the split."""
-    R = replica_count(n_samples)
     if N < 1 or T < 0:
         raise ValueError(f"need N >= 1 and T >= 0, got N = {N}, T = {T}")
     path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)
-    L = path.window(p, L)
+    return _mixed_kernel(path, p, replica_count(n_samples), seed, path.window(p, L))
+
+
+def sample_mixed_path(
+    path: TimeLikePath,
+    p: ModelParams,
+    n_samples: int,
+    seed: int,
+) -> np.ndarray:
+    """X(P) = x_{N_t}(N_t, T_t) + N_t of the batch mixed q-TASEP at every
+    point of `path`, shape (n_samples, len(path.points)); column 0 is the
+    start (1, 0), where X(P) = 0.  It runs L = the path's largest N
+    particles: a particle sees only the one ahead of it, so more would not
+    change X(P).  The kernel and its stream positions are those of
+    `sample_mixed_batch`, and move m reads only positions m * R * L onward,
+    so a run passes through every shorter run with the same seed and L:
+    where the first t moves are N^{N-1} T^T, column t equals
+    sample_mixed_batch(p, N, T, n_samples, seed, L)[:, N - 1] + N bit for
+    bit."""
+    R = replica_count(n_samples)
+    L = path.window(p, None)
+    xp = np.empty((R, len(path.points)), dtype=np.int64)
+    _mixed_kernel(path, p, R, seed, L, xp)
+    return xp
+
+
+def _mixed_kernel(
+    path: TimeLikePath, p: ModelParams, R: int, seed: int, L: int, xp=None
+) -> np.ndarray:
+    """Run R replicas of L particles along `path` (see sample_mixed_batch)
+    and return their final positions.  Given xp of shape (R, len(path.points)),
+    each chunk also writes X(P) of its rows into it, point by point."""
     a = np.array(p.a[:L])
     bulk = set(p.a[1:L])
     # (cdf, rows) of _geom_cdf_rows per rate a_i * alpha of a geometric move,
@@ -325,7 +356,9 @@ def sample_mixed_batch(
         flat = code.reshape(-1)
         U, first = np.empty((n, L - 1)), np.empty(n)
         k = 0
-        for m, (*_, move, param) in enumerate(path.steps(p)):
+        if xp is not None:
+            xp[r0:r1, 0] = Xr[:, 0] + 1
+        for m, (n1, _, move, param) in enumerate(path.steps(p)):
             start = m * R * L
             if move == "BER":
                 p_jump = a * param / (1.0 + a * param)
@@ -346,20 +379,22 @@ def sample_mixed_batch(
                 code &= 1
                 Xr += code
                 k = L - 1
-                continue
-            _draws_at(rng, start + r0 * (L - 1), U)
-            gaps = Xr[:, :k] - Xr[:, 1 : k + 1] - 1
-            for ai in bulk:
-                cdf, flat_cdf = tables[ai * param]
-                free = (gaps > 0) & (a[1 : k + 1] == ai)
-                m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
-                g = gaps[free]
-                rows = np.minimum(g, m_cap)
-                j = np.searchsorted(flat_cdf, rows + U[:, :k][free]) - rows * width
-                Xr[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
-            _draws_at(rng, start + R * (L - 1) + r0, first)
-            Xr[:, 0] += np.searchsorted(tables[p.a[0] * param][0][-1], first)
-            k = min(k + 1, L - 1)
+            else:
+                _draws_at(rng, start + r0 * (L - 1), U)
+                gaps = Xr[:, :k] - Xr[:, 1 : k + 1] - 1
+                for ai in bulk:
+                    cdf, flat_cdf = tables[ai * param]
+                    free = (gaps > 0) & (a[1 : k + 1] == ai)
+                    m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
+                    g = gaps[free]
+                    rows = np.minimum(g, m_cap)
+                    j = np.searchsorted(flat_cdf, rows + U[:, :k][free]) - rows * width
+                    Xr[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
+                _draws_at(rng, start + R * (L - 1) + r0, first)
+                Xr[:, 0] += np.searchsorted(tables[p.a[0] * param][0][-1], first)
+                k = min(k + 1, L - 1)
+            if xp is not None:
+                xp[r0:r1, m + 1] = Xr[:, n1 - 1] + n1
 
     _run_chunks(_advance_rows, R, L, seed)
     return X

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vertexlab import harness, moments
+from vertexlab import harness, moments, qtasep, vertex
 from vertexlab.harness import (
     chi2_gof,
     chi2_two_sample,
@@ -206,6 +207,35 @@ def test_reports_reproducible():
     _, r1 = run_suite(["stochasticity", "sum-to-one"], seed=7)
     _, r2 = run_suite(["stochasticity", "sum-to-one"], seed=7)
     assert [r.payload() for r in r1] == [r.payload() for r in r2]
+
+
+def test_checks_sample_each_window_and_path_once(monkeypatch):
+    # distribution-equality reads its 16 cells from one quadrant window and
+    # one X(P) run per N, schur-matching its 9 cells from one window; neither
+    # reruns a prefix it already ran, as one sample_mixed_batch run per T would
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(qtasep, "sample_mixed_batch")
+    count(qtasep, "sample_mixed_path")
+    count(vertex, "sample_quadrant_batch")
+    per_check = {}
+    for cid in ("distribution-equality", "schur-matching"):
+        calls.clear()
+        run_suite([cid], seed=0, budget_scale=0.01)
+        per_check[cid] = dict(collections.Counter(calls))
+    assert per_check["distribution-equality"] == {
+        "sample_mixed_path": 4, "sample_quadrant_batch": 1
+    }
+    assert per_check["schur-matching"] == {"sample_quadrant_batch": 1}
 
 
 def test_every_criterion_has_a_check():

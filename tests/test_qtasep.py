@@ -25,6 +25,7 @@ from vertexlab.qtasep import (
     q_geom_pmf,
     run_mixed,
     sample_mixed_batch,
+    sample_mixed_path,
     transition_matrix,
 )
 from vertexlab.rng import stream
@@ -311,6 +312,11 @@ def test_sample_mixed_batch_checks_the_path_as_run_mixed_does():
         sample_mixed_batch(p, 3, 1, 5, 0, L=2)
     with pytest.raises(ValueError, match="L too small for the path"):
         run_mixed(TimeLikePath.from_moves("NNT"), p, 0, L=2)
+    # the path reader runs the path's own window, which p must hold
+    with pytest.raises(ValueError, match="window exceeds available parameters"):
+        run_mixed(TimeLikePath.from_moves("NNNT"), p, 0)
+    with pytest.raises(ValueError, match="window exceeds available parameters"):
+        sample_mixed_path(TimeLikePath.from_moves("NNNT"), p, 5, 0)
     with pytest.raises(ValueError, match="need N >= 1 and T >= 0"):
         sample_mixed_batch(p, 0, 1, 5, 0)
     # nu_2 = 0 leaves the geometric move to N = 2 without a rate
@@ -320,6 +326,8 @@ def test_sample_mixed_batch_checks_the_path_as_run_mixed_does():
         sample_mixed_batch(p0, 2, 1, 5, 0)
     with pytest.raises(ValueError, match=message):
         run_mixed(TimeLikePath.from_moves("NT"), p0, 0)
+    with pytest.raises(ValueError, match=message):
+        sample_mixed_path(TimeLikePath.from_moves("TN"), p0, 5, 0)
 
 
 # a_2 beta is small, so particle 2 falls far behind particle 1 under
@@ -337,8 +345,11 @@ def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
             super().__init__(max_workers)
 
     def chunked(cpus, chunk_uniforms, p, N, T, R, seed, L):
+        """sample_mixed_batch, or sample_mixed_path where N is a path."""
         monkeypatch.setattr(rng, "_chunk_count", lambda: cpus)
         monkeypatch.setattr(rng, "_CHUNK_UNIFORMS", max(chunk_uniforms, 1))
+        if isinstance(N, str):
+            return sample_mixed_path(TimeLikePath.from_moves(N), p, R, seed)
         return sample_mixed_batch(p, N, T, R, seed, L=L)
 
     monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
@@ -355,14 +366,24 @@ def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
         (tw, 6, 12, 23, 6, None),  # the Tracy-Widom parameters at M = 6
         (_FAR_BEHIND, 1, 40, 50, 7, 1),  # one particle a row
         (_FAR_BEHIND, 1, 40, 50, 8, 3),  # gaps past _gap_cap
+        # X(P) along a path: (params, moves, None, R, seed, None)
+        (distinct, "NTNNT", None, 37, 9, None),
+        (distinct, "TTNTNN", None, 5, 10, None),  # fewer replicas than 7 chunks
+        (repeated, "NNTNTTNNTT", None, 30, 11, None),
+        (tw, "NT" * 5 + "T" * 2, None, 23, 12, None),
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter lock far more often
     try:
         for p, N, T, R, seed, L in cases:
-            size = R * (L or N)  # uniforms a move
+            if isinstance(N, str):
+                path = TimeLikePath.from_moves(N)
+                width, shape = path.window(p, None), (R, len(path.points))
+            else:
+                width, shape = L or N, (R, L or N)
+            size = R * width  # uniforms a move
             want = chunked(1, size, p, N, T, R, seed, L)  # one chunk, no thread
-            assert want.shape == (R, L or N)
+            assert want.shape == shape
             # min(R, cpus) chunks, then about 4 chunks on one CPU
             for cpus, chunk_uniforms in ((2, size - 1), (3, size - 1), (7, size - 1),
                                          (1, size // 4)):
@@ -385,6 +406,40 @@ def test_sample_mixed_batch_bits_do_not_depend_on_chunking(monkeypatch):
             assert pools == []
 
 
+def test_sample_mixed_path_passes_through_every_prefix():
+    # move m reads stream positions m * R * L onward, so column t of X(P) is
+    # the run of the path's first t moves with the same seed and L, bit for
+    # bit; the path runs L = its largest N particles, so the prefix runs to
+    # points with n < N carry L - n > 0 spectators
+    distinct = harness.draw_params(stream(8, 0), 6, 4, bernoulli=True)
+    repeated = ModelParams(q=0.45, u=(-1.1,) * 5, a=(1.0, 0.8) * 3,
+                           nu=(0.0,) + (0.32, 0.4) * 2 + (0.32,))
+    cases = [  # (params, N, T, R, seed) of the path N^{N-1} T^T
+        (distinct, 4, 4, 300, 1),
+        (distinct, 1, 4, 200, 2),  # N = 1: Bernoulli moves only
+        (distinct, 5, 0, 200, 3),  # T = 0: geometric moves only
+        (distinct, 1, 0, 50, 4),  # the start point alone
+        (repeated, 6, 5, 250, 6),  # repeated rates
+    ]
+    for p, N, T, R, seed in cases:
+        path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)
+        xp = sample_mixed_path(path, p, R, seed)
+        assert xp.shape == (R, N + T) and xp.dtype == np.int64
+        for t, (n, tt) in enumerate(path.points):
+            x = sample_mixed_batch(p, n, tt, R, seed, L=N)
+            assert np.array_equal(xp[:, t], x[:, n - 1] + n), (N, T, t)
+    # a mixed path: a prefix that reaches N = 4 runs the same L = 4 particles,
+    # so its run is the first columns of the whole run
+    path = TimeLikePath.from_moves("NTNNT")
+    xp = sample_mixed_path(path, distinct, 400, 7)
+    assert not xp[:, 0].any()  # X(P) = x_1 + 1 = 0 at the start (1, 0)
+    prefix = TimeLikePath(path.points[:5])  # NTNN
+    assert np.array_equal(sample_mixed_path(prefix, distinct, 400, 7), xp[:, :5])
+    # the one prefix of the form N^{N-1} T^T past the start
+    x = sample_mixed_batch(distinct, 2, 0, 400, 7, L=4)
+    assert np.array_equal(xp[:, 1], x[:, 1] + 2)
+
+
 def test_bernoulli_scan_matches_run_mixed_at_the_edges():
     # one replica of a Bernoulli-only path reads its uniforms in the order of
     # run_mixed, at one particle and past the gap cap
@@ -392,9 +447,13 @@ def test_bernoulli_scan_matches_run_mixed_at_the_edges():
     widest = 0
     for L in (1, 3):
         for seed in range(10):
-            configs = run_mixed(path, _FAR_BEHIND, seed, L=L).configs
+            traj = run_mixed(path, _FAR_BEHIND, seed, L=L)
+            configs = traj.configs
             got = sample_mixed_batch(_FAR_BEHIND, 1, 40, 1, seed, L=L)
             assert got.shape == (1, L) and tuple(got[0]) == configs[-1].x
+            if L == 1:  # and X(P) at every point of the path
+                xp = sample_mixed_path(path, _FAR_BEHIND, 1, seed)
+                assert xp.shape == (1, 41) and tuple(xp[0]) == traj.x_values
             widest = max([widest] + [g for c in configs[:-1] for g in gaps(c.x)[1:]])
     assert widest > _gap_cap(_FAR_BEHIND.q)
 
