@@ -121,13 +121,13 @@ def cmd_moments(args) -> int:
     records = []
     if args.route in ("residues", "all"):
         v = moments.moment_height_residues(args.n_list, args.T, p)
-        records.append(moments.moment_record("height-moment", p, v, "residues", 0.0))
+        records.append(moments.moment_record("height-moment", p, v, "residues", None))
     if args.route in ("quadrature", "all"):
         v, err = moments.moment_product_quadrature(args.n_list, args.T, p)
         records.append(moments.moment_record("product-moment", p, v, "quadrature", err))
     if args.route in ("operator", "all"):
         v = diffops.operator_expectation(args.n_list, args.T, max(args.n_list), p)
-        records.append(moments.moment_record("product-moment", p, v, "operator", 0.0))
+        records.append(moments.moment_record("product-moment", p, v, "operator", None))
     _emit(args, "moments.jsonl", "\n".join(records) + "\n")
     return 0
 

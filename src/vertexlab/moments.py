@@ -450,8 +450,9 @@ def q_laplace_observable(h, zeta, q: float) -> np.ndarray:
 
 def q_laplace(N: int, T: int, p: ModelParams, zeta):
     """E[1/(zeta q^{lambda_N}; q)_inf] under the q-Whittaker measure of the
-    window (N, T), as a certified series of q-moments: (value, tail_bound).  The
-    vertex side is sample_quadrant_batch read through q_laplace_observable."""
+    window (N, T), as a series of q-moments: (value, tail_bound), where the
+    bound assumes exact moments.  The vertex side is sample_quadrant_batch
+    read through q_laplace_observable."""
     q = p.q
     rho = matching_specialization(p, N, T)
     total = 1.0

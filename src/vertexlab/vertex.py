@@ -169,32 +169,32 @@ def sample_quadrant_batch(
     # heights are at most t_max; int16 halves the memory of large batches
     dtype = np.int16 if t_max < 2**15 else np.int32
     heights = np.zeros((t_max + 1, n_max + 1, S), dtype=dtype)
-    W = t_max + 1  # a column holds at most t_max paths
-    qpow = p.q ** np.arange(W)
+    qpow = p.q ** np.arange(t_max + 1)
+    a = np.array(p.a[:n_max])[:, None]
+    nu = np.array(p.nu[:n_max])[:, None]
 
     def _sweep(s0: int, s1: int, rng: np.random.Generator):
         """Sweep the window on replicas [s0, s1).  It calls only numpy and
         private helpers, so it may run on a worker thread."""
         n = s1 - s0
-        m = np.zeros((n_max, n), dtype=np.int32)
-        suffix = np.empty_like(m)
-        exited = np.zeros(n, dtype=np.int32)
+        # m[N-1] counts the paths in column N, m[n_max] those that left the window
+        m = np.zeros((n_max + 1, n), dtype=np.int32)
         j = np.empty(n, dtype=bool)
         first = np.empty(n, dtype=bool)
         draws, cut = np.empty(n), np.empty(n)
         at = np.empty(n, dtype=np.intp)
-        # acceptance threshold of the first outcome, by g for j = 0 and then
-        # by g for j = 1
-        row = np.empty(2 * W)
         k = 0
         for T in range(1, t_max + 1):
-            u = p.u[T - 1]
+            au = a * p.u[T - 1]
+            # a column's g is read before its update, so g < G all row; the
+            # paths that left the window, m[n_max], are never looked up
+            G = int(m[:n_max].max(initial=0)) + 1
+            # cuts[N-1, j * G + g]: acceptance threshold of the first outcome
+            # of column N at inputs (g, j)
+            cuts = np.hstack((1.0 - au * qpow[:G], nu * qpow[:G] - au)) / (1.0 - au)
             j.fill(True)
-            for g, a, nu in zip(m, p.a, p.nu):
-                denom = 1.0 - a * u
-                np.divide(1.0 - a * u * qpow, denom, out=row[:W])
-                np.divide(nu * qpow - a * u, denom, out=row[W:])
-                np.multiply(j, W, out=at)
+            for g, row in zip(m, cuts):  # m[n_max] has no row of cuts
+                np.multiply(j, G, out=at)
                 at += g
                 np.take(row, at, out=cut)
                 np.less(_draws_at(rng, k * S + s0, draws), cut, out=first)
@@ -204,11 +204,9 @@ def sample_quadrant_batch(
                 np.equal(j, first, out=j)
                 g -= j
                 k += 1
-            exited += j
-            np.cumsum(m[::-1], axis=0, dtype=np.int32, out=suffix)
-            suffix += exited
-            heights[T, :n_max, s0:s1] = suffix[::-1]
-            heights[T, n_max, s0:s1] = exited
+            m[n_max] += j
+            # h(N, T) = m[N-1] + ... + m[n_max]
+            np.cumsum(m[::-1], axis=0, dtype=dtype, out=heights[T, ::-1, s0:s1])
 
     _run_chunks(_sweep, S, 1, seed)
     return np.moveaxis(heights, -1, 0)

@@ -102,6 +102,10 @@ def test_moments_routes(config, tmp_path):
     assert code == 0
     recs = [json.loads(x) for x in (out / "moments.jsonl").read_text().strip().splitlines()]
     assert {r["method"] for r in recs} == {"residues", "quadrature", "operator"}
+    # only quadrature computes an error estimate; the other routes print null
+    errors = {r["method"]: r["error_estimate"] for r in recs}
+    assert errors["residues"] is None and errors["operator"] is None
+    assert errors["quadrature"] >= 0.0
     vals = [r["value"] for r in recs if r["formula"] == "product-moment"]
     assert abs(vals[0] - vals[1]) < 1e-9
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vertexlab.core import INFINITY, ModelParams
-from vertexlab.harness import draw_params
-from vertexlab import rng
+from vertexlab.harness import chi2_two_sample, draw_params
+from vertexlab import qtasep, rng, schur
 from vertexlab.rng import stream
 from vertexlab.vertex import (
     STEP,
@@ -153,6 +153,7 @@ def test_sample_quadrant_batch_bits_do_not_depend_on_chunking(monkeypatch):
     monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
     step = draw_params(stream(9, 0), 7, 5)
     bernoulli = draw_params(stream(9, 1), 7, 5, bernoulli=True)
+    deep = ModelParams(q=0.9, u=(-0.2,) * 30, a=(1.0,) * 4, nu=(0.9,) * 4)
     cases = [  # (params, boundary, window, S, seed)
         (step, STEP, (7, 5), 5, 1),  # fewer replicas than 7 chunks
         (step, STEP, (3, 4), 0, 2),  # no replica
@@ -161,6 +162,9 @@ def test_sample_quadrant_batch_bits_do_not_depend_on_chunking(monkeypatch):
         (step, STEP, (7, 0), 23, 4),  # T = 0: no vertex
         (step, STEP, (1, 5), 30, 5),  # N = 1
         (bernoulli, STEP_BERNOULLI, (7, 5), 2000, 6),
+        # up to 19 paths a column: at 17 to 29 of the 30 rows, the chunks'
+        # largest counts, and so their threshold tables' extents, differ
+        (deep, STEP, (4, 30), 50, 7),
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter lock far more often
@@ -179,6 +183,20 @@ def test_sample_quadrant_batch_bits_do_not_depend_on_chunking(monkeypatch):
         sys.setswitchinterval(interval)
     # never more threads than CPUs
     assert pools and max(pools) <= len(os.sched_getaffinity(0))
+
+
+def test_vertex_sweep_matches_qtasep_far_past_row_4():
+    # the paper's identity h^Ber(M+1, T) = x_M(M, T) + M in law, read at
+    # (M+1, 2M) under the special parameters, gated as distribution-equality
+    # gates its (6, 4) window
+    M, R = 100, 2000
+    p = schur.special_params(0.5, -1.0, 1.0, M, 2 * M)
+    hv = sample_quadrant_batch(p, STEP_BERNOULLI, (M, 2 * M), R, 0)[:, 2 * M, M]
+    xs = qtasep.sample_mixed_batch(p, M, 2 * M, R, 1)[:, M - 1] + M
+    cells = int(max(hv.max(), xs.max())) + 1
+    c1, c2 = (np.bincount(v.astype(np.int64), minlength=cells) for v in (hv, xs))
+    _, pval = chi2_two_sample(c1, c2)
+    assert pval > 1e-4
 
 
 def test_step_bernoulli_boundary_law():
