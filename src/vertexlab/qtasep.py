@@ -261,6 +261,49 @@ def _geom_cdf_rows(alpha: float, q: float):
     return cdf, (cdf + np.arange(m_cap + 1)[:, None]).ravel()
 
 
+class _IndexedSearch:
+    """np.searchsorted(table, keys) for keys in [0, ceil(table[-1])], O(1) a
+    key (Chen & Asau 1974): bucket floor(key * K), K the power of two at or
+    above the entries per unit, holds #{table < its left edge}, and two
+    `table[i] < key` steps end the search; fuller buckets and the table's
+    end hold -1 and take np.searchsorted."""
+
+    def __init__(self, table: np.ndarray):
+        span = math.ceil(table[-1])
+        self.table, self.K = table, 1 << (-(-table.size // span) - 1).bit_length()
+        lo = np.searchsorted(table, np.arange(span * self.K + 2) / self.K).astype(np.int32)
+        self.guide = lo[:-1]
+        self.guide[(np.diff(lo) > 2) | (self.guide > table.size - 2)] = -1
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        i = self.guide.take((keys * self.K).astype(np.intp))
+        crowded = i < 0
+        i += self.table.take(i) < keys
+        i += self.table.take(i) < keys
+        if crowded.any():
+            i[crowded] = np.searchsorted(self.table, keys[crowded])
+        return i
+
+
+def _jump_tables(alpha: float, q: float):
+    """(bulk(g, u), infinite-gap row) for one rate alpha: the jump at gap
+    g > 0 is the first lifted entry of _geom_cdf_rows >= min(g, m_cap) + u,
+    held in [0, min(g, J)].  The first particle's jump, the first entry >= u
+    of the row, keeps np.searchsorted: it has one key a replica row, too few
+    to pay for the indexed search's dozen numpy calls."""
+    cdf, rows = _geom_cdf_rows(alpha, q)
+    m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
+    search_rows = _IndexedSearch(rows)
+
+    def bulk(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # where m + u rounds to m, the search can land on row m - 1's last
+        # entries, lifted to exactly m: a jump < 0, held at 0
+        m = np.minimum(g, m_cap)
+        return np.clip(search_rows(m + u) - m * width, 0, np.minimum(g, width - 1))
+
+    return bulk, cdf[-1]
+
+
 def sample_mixed_batch(
     p: ModelParams,
     N: int,
@@ -277,7 +320,8 @@ def sample_mixed_batch(
 
     Each move draws one uniform per replica and particle.  Only the first k
     gaps can be positive (k = 0 at the start, +1 per geometric move, all
-    after a Bernoulli move), and only positive gaps get a table lookup.  In
+    after a Bernoulli move), and only positive gaps get a table lookup (see
+    _jump_tables and README, Numerical conventions).  In
     a Bernoulli move the latest particle at or before i that jumps even when
     blocked (code 2i+1) or stays even when pushed (code 2i) decides i's
     move: i jumps iff the running maximum of the codes is odd.
@@ -324,11 +368,11 @@ def _mixed_kernel(
     each chunk also writes X(P) of its rows into it, point by point."""
     a = np.array(p.a[:L])
     bulk = set(p.a[1:L])
-    # (cdf, rows) of _geom_cdf_rows per rate a_i * alpha of a geometric move,
-    # built before any worker starts; q_geom_pmf rejects a rate outside (0, 1)
+    # _jump_tables per rate a_i * alpha of a geometric move, built before any
+    # worker starts; q_geom_pmf rejects a rate outside (0, 1)
     rates = {ai * alpha for *_, move, alpha in path.steps(p) if move == "GEOM"
              for ai in p.a[:L]}
-    tables = {rate: _geom_cdf_rows(rate, p.q) for rate in rates}
+    tables = {rate: _jump_tables(rate, p.q) for rate in rates}
     X = np.tile(-np.arange(1, L + 1, dtype=np.int64), (R, 1))
     k_cap = _gap_cap(p.q)
     # 1 - q^gap indexed by the distance x_{i-1} - x_i = gap + 1, cut at
@@ -383,15 +427,10 @@ def _mixed_kernel(
                 _draws_at(rng, start + r0 * (L - 1), U)
                 gaps = Xr[:, :k] - Xr[:, 1 : k + 1] - 1
                 for ai in bulk:
-                    cdf, flat_cdf = tables[ai * param]
                     free = (gaps > 0) & (a[1 : k + 1] == ai)
-                    m_cap, width = cdf.shape[0] - 1, cdf.shape[1]
-                    g = gaps[free]
-                    rows = np.minimum(g, m_cap)
-                    j = np.searchsorted(flat_cdf, rows + U[:, :k][free]) - rows * width
-                    Xr[:, 1 : k + 1][free] += np.minimum(j, np.minimum(g, width - 1))
+                    Xr[:, 1 : k + 1][free] += tables[ai * param][0](gaps[free], U[:, :k][free])
                 _draws_at(rng, start + R * (L - 1) + r0, first)
-                Xr[:, 0] += np.searchsorted(tables[p.a[0] * param][0][-1], first)
+                Xr[:, 0] += np.searchsorted(tables[p.a[0] * param][1], first)
                 k = min(k + 1, L - 1)
             if xp is not None:
                 xp[r0:r1, m + 1] = Xr[:, n1 - 1] + n1

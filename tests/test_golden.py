@@ -18,7 +18,7 @@ import pathlib
 
 import numpy as np
 
-from vertexlab import harness, qtasep, vertex
+from vertexlab import harness, qtasep, schur, vertex
 from vertexlab.core import ModelParams
 from vertexlab.rng import stream
 
@@ -58,6 +58,10 @@ def mixed_grid():
         ("distinct-rates", _distinct(8, 6, 4), 4, 4, 500, 8, 6),
         ("distinct-rates-spectators", _distinct(9, 8, 5), 5, 5, 400, 9, 8),
         ("distinct-rates-N1", _distinct(10, 3, 3), 1, 3, 300, 10, 3),
+        # the Tracy-Widom path at M = 100: R * L = 40,000 uniforms a move is
+        # past rng._CHUNK_UNIFORMS, so the batch runs in chunks
+        ("tracy-widom-M100", schur.special_params(0.5, -1.0, 1.0, 100, 200),
+         100, 200, 400, 18, None),
     ]
 
 

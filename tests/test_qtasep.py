@@ -10,8 +10,10 @@ from vertexlab import harness, rng
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.qtasep import (
     GEOM_TAIL_CUT,
+    _IndexedSearch,
     _gap_cap,
     _geom_cdf_rows,
+    _jump_tables,
     ParticleConfig,
     TimeLikePath,
     bernoulli_law,
@@ -458,7 +460,10 @@ def test_bernoulli_scan_matches_run_mixed_at_the_edges():
     assert widest > _gap_cap(_FAR_BEHIND.q)
 
 
-@pytest.mark.parametrize("alpha,q", [(0.5, 0.5), (0.95, 0.5), (0.05, 0.95), (0.83, 0.3)])
+_TABLES = [(0.5, 0.5), (0.95, 0.5), (0.05, 0.95), (0.83, 0.3)]
+
+
+@pytest.mark.parametrize("alpha,q", _TABLES)
 def test_geom_cdf_rows_exact_and_cut_at_tail(alpha, q):
     cdf, rows = _geom_cdf_rows(alpha, q)
     # rows lays row m of cdf out on [m, m + 1), sorted for one searchsorted
@@ -475,6 +480,46 @@ def test_geom_cdf_rows_exact_and_cut_at_tail(alpha, q):
     for m in (m_cap, m_cap + 7, 2 * m_cap):
         tv = 0.5 * sum(abs(q_geom_pmf(m, alpha, q, j) - inf.get(j, 0.0)) for j in range(m + 1))
         assert tv <= GEOM_TAIL_CUT
+
+
+@pytest.mark.parametrize("alpha,q", _TABLES + [(0.95, 0.95)])
+def test_indexed_search_equals_searchsorted(alpha, q):
+    cdf, rows = _geom_cdf_rows(alpha, q)
+    u_edges = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53])
+    rng = np.random.default_rng(0)
+    # the lifted table, searched at m + u, and the unlifted infinite-gap row
+    for table, row_starts in ((rows, np.arange(cdf.shape[0])), (cdf[-1], np.zeros(1))):
+        search = _IndexedSearch(table)
+        span = math.ceil(table[-1])
+        keys = np.concatenate([
+            np.arange(search.guide.size) / search.K,  # every bucket edge t/K
+            table,
+            np.nextafter(table, -np.inf),
+            np.nextafter(table, np.inf),
+            (row_starts[:, None] + u_edges).ravel(),
+            rng.random(10**5) * span,
+        ])
+        keys = keys[(keys >= 0.0) & (keys <= span)]
+        got = search(keys)
+        assert np.array_equal(got, np.searchsorted(table, keys))
+        assert got.dtype == search.guide.dtype == np.int32
+        assert (search.guide < 0).any()  # the fallback is taken too
+
+
+@pytest.mark.parametrize("alpha,q", _TABLES)
+def test_bulk_jump_is_never_negative(alpha, q):
+    # where m + u rounds to m, the left search on the lifted table lands on
+    # row m - 1's last entries, lifted to exactly m: before the jump was held
+    # at 0, u = 0.0 at gap 1 of (0.5, 0.5) gave the jump -48
+    cdf, _ = _geom_cdf_rows(alpha, q)
+    m_cap, j_cap = cdf.shape[0] - 1, cdf.shape[1] - 1
+    bulk, _ = _jump_tables(alpha, q)
+    g = np.arange(1, m_cap + 2)
+    for u in (0.0, 2.0**-53):
+        assert not bulk(g, np.full(g.size, u)).any()
+    for u in (1.0 - 2.0**-53, *np.random.default_rng(1).random(5)):
+        j = bulk(g, np.full(g.size, u))
+        assert (j >= 0).all() and (j <= np.minimum(g, j_cap)).all()
 
 
 def test_q_geom_law_is_memoized_and_read_only():
