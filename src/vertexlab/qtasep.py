@@ -410,9 +410,9 @@ def _mixed_kernel(
                 # distances within each row, in one pass over the flattened
                 # rows; column 0 gets the virtual x_0's distance 0
                 np.subtract(Xf[:-1], Xf[1:], out=dist_f[1:])
-                np.minimum(dist_f, k_cap + 1, out=dist_f)
                 dist[:, 0] = 0
-                np.take(unblocked, dist, out=P)
+                # clip mode cuts distances past k_cap + 1 to the last entry
+                np.take(unblocked, dist, out=P, mode="clip")
                 P *= p_jump
                 np.less(V, P, out=A)
                 np.greater_equal(V, p_jump, out=B)
