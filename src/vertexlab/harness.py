@@ -72,21 +72,26 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # Monte Carlo statistics.  A sample too small or too uniform to estimate its
 # spread is no evidence for the identity, so it fails the check and names
-# itself in details["no_evidence"].
+# itself in details["no_evidence"].  Too small means fewer than MIN_COUNT
+# draws: chi2_two_sample pools cells with fewer, and a z-score from fewer
+# rests on a standard error that is itself a guess.
+MIN_COUNT = 10
 
 
 def _z_score(samples: np.ndarray, exact: float, details: dict, key: str) -> float:
     """|mean - exact| / se of the samples' mean, recorded in details[key] to
-    three decimals.  A zero or NaN standard error (NaN for a single sample)
-    counts as an infinite deviation unless mean == exact."""
+    three decimals.  Fewer than MIN_COUNT samples, or a zero or NaN standard
+    error (NaN for a single sample), count as an infinite deviation unless
+    mean == exact."""
     n = len(samples)
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    if se > 0:
+    if se > 0 and n >= MIN_COUNT:
         dev = abs(mean - exact) / se
     else:
         dev = 0.0 if mean == exact else math.inf
-        details.setdefault("no_evidence", []).append(f"{key}: standard error {se}")
+        why = f"{n} samples" if se > 0 else f"standard error {se}"
+        details.setdefault("no_evidence", []).append(f"{key}: {why}")
     details[key] = round(dev, 3)
     return dev
 
@@ -134,8 +139,9 @@ def chi2_gof(counts: dict, oracle: dict):
 
 def chi2_two_sample(c1, c2):
     """Two-sample chi-square over the same cells; returns (chi2, p).  Cells with
-    under 10 counts in all pool into one tail cell, which counts only if non-empty."""
-    keep = (c1 + c2) >= 10
+    under MIN_COUNT counts in all pool into one tail cell, which counts only if
+    non-empty."""
+    keep = (c1 + c2) >= MIN_COUNT
     o1 = np.append(c1[keep], c1[~keep].sum())
     o2 = np.append(c2[keep], c2[~keep].sum())
     n1, n2 = o1.sum(), o2.sum()

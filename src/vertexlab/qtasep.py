@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INFINITY, ModelParams, check_window, inv_cdf, q_pochhammer, replica_count
-from .rng import _draws_at, _run_chunks, stream
+from .rng import _draws_at, _run_chunks, sampler_stream
 
 # Inverse-CDF sampling of the infinite-gap jump law is cut once the
 # cumulative mass reaches 1 - GEOM_TAIL_CUT; the cut is certified by the
@@ -211,7 +211,7 @@ def run_mixed(
 ) -> Trajectory:
     """Evolve the mixed geometric/Bernoulli q-TASEP along `path`, with the
     moves of `TimeLikePath.steps`, recording x_{N_t}(N_t, T_t) + N_t."""
-    rng = stream(seed, 0)
+    rng = sampler_stream(seed)
     cfg = ParticleConfig.step(path.window(p, L))
     moves = ["start"]
     configs = [cfg]
@@ -327,10 +327,11 @@ def sample_mixed_batch(
     move: i jumps iff the running maximum of the codes is odd.
 
     Move m reads the R * L uniforms at positions m * R * L onward of
-    stream(seed, 0), row by row: R x L for a Bernoulli move, R x (L - 1) for
-    particles 2..L and then R for particle 1 for a geometric move.  The rows
-    run in chunks of rng._run_chunks, each reading its own part of that
-    range by position, so the bits do not depend on the split."""
+    sampler_stream(seed), row by row: R x L for a Bernoulli move,
+    R x (L - 1) for particles 2..L and then R for particle 1 for a geometric
+    move.  The rows run in chunks of rng._run_chunks, each reading its own
+    part of that range by position, so the bits do not depend on the
+    split."""
     if N < 1 or T < 0:
         raise ValueError(f"need N >= 1 and T >= 0, got N = {N}, T = {T}")
     path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)

@@ -1,12 +1,19 @@
-"""Counter-based random streams.
+"""Random streams, in two families.
 
-Streams are keyed by (seed, stream index) through the Philox counter-based
-generator, so they are independent by construction: stream k is the same
-bits no matter how many other streams exist or in which order they are
-consumed.  Being counter-based (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11), a stream can also be read from any position without
-drawing what comes before it (`_draws_at`), and a batch sampler can split
-its replicas into chunks that each read only their own uniforms
+Parameter streams, `stream(seed, k)`, are keyed by (seed, stream index)
+through the Philox counter-based generator (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), so they are independent by
+construction: stream k is the same bits no matter how many other streams
+exist or in which order they are consumed.  The checks draw their
+parameters, seeds and exact-check inputs from them.
+
+Sampler streams, `sampler_stream(seed)`, feed the uniforms of the vertex and
+q-TASEP samplers, which draw far more of them.  They are PCG64DXSM (O'Neill,
+"PCG", HMC-CS-2014-0905), which costs about half as much a uniform, seeded
+through SeedSequence([seed, 0]).  PCG64DXSM can jump ahead k draws in
+O(log k) steps, so a sampler stream can be read from any position
+(`_draws_at`) without drawing what comes before it, and a batch sampler can
+split its replicas into chunks that each read only their own uniforms
 (`_run_chunks`).
 """
 
@@ -19,10 +26,13 @@ import numpy as np
 
 # A chunk of replica rows draws at most this many uniforms a step, and a larger
 # batch is cut into at least one chunk per CPU; a batch that fits in one chunk
-# runs on the calling thread.  Measured on a 2-core host with the q-TASEP
-# kernel: two threads were slower than one below about 24,000 uniforms a move
-# and faster from 32,000 (starting them costs 1-1.5 ms a call); at M = 1000
-# with 500 replicas on the Tracy-Widom path, chunks of 2^15 uniforms took 26 s,
+# runs on the calling thread.  Measured on a 2-core host, one chunk against
+# two, median of 7: with PCG64DXSM uniforms two threads were slower than one
+# up to 24,000 uniforms a step and faster from 28,000 in the q-TASEP kernel
+# (x0.86 at 32,000), and even at 28,000-32,000 and faster from 40,000 in the
+# vertex sweep; with Philox the q-TASEP crossover sat at 16,000-20,000
+# (starting the threads costs 1-1.5 ms a call).  At M = 1000 with 500
+# replicas on the Tracy-Widom path (Philox), chunks of 2^15 uniforms took 26 s,
 # 2^16 took 29 s and one chunk per CPU 31 s.  The bound also caps the
 # temporaries that each worker's malloc arena keeps after the call: with one
 # chunk per CPU the default suite's peak RSS rose by 37 MB, with this bound by
@@ -45,19 +55,29 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def _draws_at(gen: np.random.Generator, start: int, out: np.ndarray) -> np.ndarray:
+class _SamplerStream(np.random.Generator):
+    """Generator over PCG64DXSM that keeps its seeded state for _draws_at."""
+
+    def __init__(self, seed: int):
+        seq = np.random.SeedSequence([_in_range("seed", seed), 0])
+        super().__init__(np.random.PCG64DXSM(seq))
+        self.seeded = self.bit_generator.state
+
+
+def sampler_stream(seed: int) -> np.random.Generator:
+    """The samplers' uniform stream for `seed`; ValueError unless it lies in
+    [0, 2**64)."""
+    return _SamplerStream(seed)
+
+
+def _draws_at(gen: _SamplerStream, start: int, out: np.ndarray) -> np.ndarray:
     """Fill `out` with the uniforms at positions [start, start + out.size) of
-    the stream `gen` was made for, whatever `gen` has drawn before.  Each
-    uniform takes one 64-bit Philox word and each counter step yields four,
-    so the reader rewinds the counter, advances it start // 4 steps and
-    discards start % 4 words."""
+    the sampler stream `gen` was made for, whatever `gen` has drawn before.
+    Each uniform takes one 64-bit PCG64DXSM word, so the reader restores the
+    seeded state and advances it start words."""
     bits = gen.bit_generator
-    state = bits.state
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4  # an empty buffer: the next word needs a new step
-    bits.state = state
-    bits.advance(start // 4)
-    gen.random(start % 4)
+    bits.state = gen.seeded
+    bits.advance(start)
     return gen.random(out=out)
 
 
@@ -76,18 +96,19 @@ def _chunk_count() -> int:
 def _run_chunks(body, rows: int, width: int, seed: int) -> None:
     """Call body(r0, r1, gen) on contiguous chunks [r0, r1) of range(rows).
 
-    Each step of the caller draws rows * width uniforms of stream(seed, 0),
-    width per row, and body reads its rows' part of them by position
-    (_draws_at) from gen, a generator of that stream of its own.  A batch of
+    Each step of the caller draws rows * width uniforms of
+    sampler_stream(seed), width per row, and body reads its rows' part of
+    them by position (_draws_at) from gen, a generator of that stream of its
+    own.  A batch of
     at most _CHUNK_UNIFORMS uniforms a step runs as one chunk on the calling
     thread; a larger one as chunks of at most that many, at least one per CPU,
     on one thread per CPU.  So body's results do not depend on the split as
     long as it writes only its own rows."""
     n = min(rows, max(_chunk_count(), -(-rows * width // _CHUNK_UNIFORMS)))
     if n < 2 or rows * width <= _CHUNK_UNIFORMS:
-        body(0, rows, stream(seed, 0))
+        body(0, rows, sampler_stream(seed))
         return
     bounds = [rows * i // n for i in range(n + 1)]
-    gens = [stream(seed, 0) for _ in range(n)]
+    gens = [sampler_stream(seed) for _ in range(n)]
     with ThreadPoolExecutor(min(n, len(os.sched_getaffinity(0)))) as pool:
         list(pool.map(body, bounds[:-1], bounds[1:], gens))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import INFINITY, ModelParams, Partition, check_separated, check_window
 from .core import inv_cdf, q_pochhammer, replica_count
-from .rng import _draws_at, _run_chunks, stream
+from .rng import _draws_at, _run_chunks, sampler_stream
 
 U_COLLISION_TOL = 1e-12
 
@@ -129,7 +129,7 @@ def sample_quadrant(p: ModelParams, boundary: int, window, seed: int) -> HeightF
     """
     check_boundary(p, boundary)
     n_max, t_max = _window_check(p, window)
-    rng = stream(seed, 0)
+    rng = sampler_stream(seed)
     m = [0] * n_max
     values = np.zeros((t_max + 1, n_max + 1), dtype=np.int64)
     exited = 0
@@ -157,10 +157,10 @@ def sample_quadrant_batch(
     with heights[s, T, N-1] = h(N, T).  Used by the Monte Carlo checks.
 
     The uniform of vertex k = (T-1) * n_max + (N-1) for replica s sits at
-    position k * S + s of stream(seed, 0), S = n_samples.  The replicas run
-    in chunks of rng._run_chunks, each sweeping the whole window on its own
-    replicas and reading its own uniforms by position, so the bits do not
-    depend on the split.  The heights are stored replica-last, so
+    position k * S + s of sampler_stream(seed), S = n_samples.  The replicas
+    run in chunks of rng._run_chunks, each sweeping the whole window on its
+    own replicas and reading its own uniforms by position, so the bits do
+    not depend on the split.  The heights are stored replica-last, so
     heights[:, T, N] is contiguous; the returned array is a view of that
     storage with replicas first."""
     S = replica_count(n_samples)

@@ -14,7 +14,7 @@ from vertexlab.harness import (
     draw_params,
     run_suite,
 )
-from vertexlab.rng import _draws_at, offset_seed, stream
+from vertexlab.rng import _draws_at, offset_seed, sampler_stream, stream
 
 
 def test_chi2_gof_calibration():
@@ -327,15 +327,50 @@ def test_stream_keys_keep_every_bit_of_large_seeds():
         assert stream(2**64 - 1, 12).random() != stream(2**64 - 2, 12).random()
 
 
+def test_parameter_streams_are_pinned():
+    # the first draws of stream(seed, k), recorded before the samplers moved
+    # to sampler_stream: parameter draws, check seeds and known-defect seeds
+    # read these bits
+    pinned = {
+        (0, 0): [0.011546754286331562, 0.24154919656271812, 0.11142585551493822],
+        (0, 1): [0.8133540609793564, 0.7513314251083365, 0.6716490436969984],
+        (0, 12): [0.5969388834036607, 0.45590154311006625, 0.17954184423114494],
+        (957061, 2): [0.4447062009968571, 0.6042981431385834, 0.4701086592439624],
+        (2**64 - 1, 2**64 - 1): [0.4268615279451663, 0.5715123063997486,
+                                 0.9912623766802293],
+    }
+    for (seed, stream_id), first in pinned.items():
+        assert stream(seed, stream_id).random(3).tolist() == first
+
+
+def test_sampler_stream_rejects_out_of_range_seeds():
+    assert sampler_stream(2**64 - 1).random() == sampler_stream(2**64 - 1).random()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            sampler_stream(seed)
+
+
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
 def test_draws_at_reads_the_stream_by_position(seed):
-    for stream_id in (0, 12):
-        for start, n in [(0, 1), (0, 9), (1, 1), (3, 6), (6, 1), (13, 4), (4097, 3)]:
-            gen = stream(seed, stream_id)
-            gen.random(5)  # what the generator drew before does not matter
-            got = _draws_at(gen, start, np.empty(n))
-            want = stream(seed, stream_id).random(start + n)[start:]
-            assert np.array_equal(got, want)
+    starts = [(0, 1), (0, 9), (1, 1), (3, 6), (6, 1), (13, 4), (4097, 3), (100_003, 5)]
+    for start, n in starts:
+        gen = sampler_stream(seed)
+        gen.random(5)  # what the generator drew before does not matter,
+        gen.integers(2**32, size=3, dtype=np.uint32)  # a half-used word neither
+        got = _draws_at(gen, start, np.empty(n))
+        want = sampler_stream(seed).random(start + n)[start:]
+        assert np.array_equal(got, want)
+    # far positions, against two jumps of 2**39 and an in-order read
+    for extra, n in [(0, 1), (3, 4), (2**20 + 3, 2)]:
+        gen = sampler_stream(seed)
+        gen.random(7)
+        got = _draws_at(gen, 2**40 + extra, np.empty(n))
+        ref = sampler_stream(seed)
+        ref.bit_generator.advance(2**39)
+        ref.bit_generator.advance(2**39)
+        assert np.array_equal(got, ref.random(extra + n)[extra:])
+    # the sampler stream is not a parameter stream
+    assert sampler_stream(seed).random() != stream(seed, 0).random()
 
 
 def test_derived_seeds_wrap_at_top_of_range():
