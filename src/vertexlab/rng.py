@@ -99,10 +99,9 @@ def _run_chunks(body, rows: int, width: int, seed: int) -> None:
     Each step of the caller draws rows * width uniforms of
     sampler_stream(seed), width per row, and body reads its rows' part of
     them by position (_draws_at) from gen, a generator of that stream of its
-    own.  A batch of
-    at most _CHUNK_UNIFORMS uniforms a step runs as one chunk on the calling
-    thread; a larger one as chunks of at most that many, at least one per CPU,
-    on one thread per CPU.  So body's results do not depend on the split as
+    own.  A batch of at most _CHUNK_UNIFORMS uniforms a step runs as one
+    chunk on the calling thread; a larger one as chunks of at most that many,
+    at least one per CPU, on one thread per CPU.  So body's results do not depend on the split as
     long as it writes only its own rows."""
     n = min(rows, max(_chunk_count(), -(-rows * width // _CHUNK_UNIFORMS)))
     if n < 2 or rows * width <= _CHUNK_UNIFORMS:

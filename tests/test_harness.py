@@ -318,6 +318,10 @@ def test_stream_rejects_out_of_range_keys():
     ]:
         with pytest.raises(ValueError, match=message):
             stream(seed, stream_id)
+    assert sampler_stream(top).random() == sampler_stream(top).random()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            sampler_stream(seed)
 
 
 def test_stream_keys_keep_every_bit_of_large_seeds():
@@ -325,29 +329,25 @@ def test_stream_keys_keep_every_bit_of_large_seeds():
         warnings.simplefilter("error")
         assert stream(2**63, 5).random() != stream(2**63 + 1, 5).random()
         assert stream(2**64 - 1, 12).random() != stream(2**64 - 2, 12).random()
+        assert sampler_stream(2**63).random() != sampler_stream(2**63 + 1).random()
 
 
 def test_parameter_streams_are_pinned():
-    # the first draws of stream(seed, k), recorded before the samplers moved
-    # to sampler_stream: parameter draws, check seeds and known-defect seeds
-    # read these bits
+    # the first draws of stream(seed, k): the checks' parameter draws read
+    # these bits, and so do the known-defect seeds of route-triangle
+    # (957061, stream 5) and sum-to-one (1080 and 1089, stream 2)
     pinned = {
         (0, 0): [0.011546754286331562, 0.24154919656271812, 0.11142585551493822],
         (0, 1): [0.8133540609793564, 0.7513314251083365, 0.6716490436969984],
         (0, 12): [0.5969388834036607, 0.45590154311006625, 0.17954184423114494],
-        (957061, 2): [0.4447062009968571, 0.6042981431385834, 0.4701086592439624],
+        (957061, 5): [0.6805491730924647, 0.6090098404807494, 0.7296523279040492],
+        (1080, 2): [0.5917146929613212, 0.3973780484362325, 0.11738566357446922],
+        (1089, 2): [0.16995112776301236, 0.2911593286289865, 0.7521177393022208],
         (2**64 - 1, 2**64 - 1): [0.4268615279451663, 0.5715123063997486,
                                  0.9912623766802293],
     }
     for (seed, stream_id), first in pinned.items():
         assert stream(seed, stream_id).random(3).tolist() == first
-
-
-def test_sampler_stream_rejects_out_of_range_seeds():
-    assert sampler_stream(2**64 - 1).random() == sampler_stream(2**64 - 1).random()
-    for seed in (-1, 2**64):
-        with pytest.raises(ValueError, match=f"seed {seed} "):
-            sampler_stream(seed)
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
