@@ -184,8 +184,8 @@ def check(check_id: str, tolerance: float, budget: int | None):
             except ArithmeticError as exc:
                 passed, statistic = False, math.inf
                 details = [{"error": f"{type(exc).__name__}: {exc}"}]
-            runtime = time.perf_counter() - t0
-            return CheckResult(check_id, passed, statistic, tolerance, runtime, *details)
+            return CheckResult(check_id, bool(passed), float(statistic), tolerance,
+                               time.perf_counter() - t0, *details)
 
         run.default_budget = budget
         CHECKS[check_id] = run

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INFINITY, ModelParams, check_window, inv_cdf, q_pochhammer, replica_count
-from .rng import _draws_at, _run_chunks, sampler_stream
+from .rng import _run_chunks, sampler_stream
 
 # Inverse-CDF sampling of the infinite-gap jump law is cut once the
 # cumulative mass reaches 1 - GEOM_TAIL_CUT; the cut is certified by the
@@ -46,17 +46,20 @@ def q_geom_pmf(m, alpha: float, q: float, j: int) -> float:
 @functools.cache
 def q_geom_law(m, alpha: float, q: float, tail: float = GEOM_TAIL_CUT):
     """Jump law as a tuple of (j, weight); infinite support cut at cumulative
-    1 - tail. Returns (pairs, deficit), memoized: callers share the pairs."""
+    1 - tail, ValueError where rounding stalls the sum short of 1 - tail.
+    Returns (pairs, deficit), memoized: callers share the pairs."""
     if m != INFINITY:
         return tuple((j, q_geom_pmf(m, alpha, q, j)) for j in range(int(m) + 1)), 0.0
-    pairs = []
-    acc = 0.0
-    j = 0
+    # q_geom_pmf's weights bit for bit, (q; q)_j carried forward as q_pochhammer forms it
+    head = q_geom_pmf(INFINITY, alpha, q, 0)  # (alpha; q)_inf
+    pairs, acc, poch_q, qk = [], 0.0, 1.0, q
     while acc < 1.0 - tail:
-        w = q_geom_pmf(INFINITY, alpha, q, j)
-        pairs.append((j, w))
+        w = alpha ** len(pairs) * head / poch_q
+        if acc + w == acc:
+            raise ValueError(f"rate {alpha}, q = {q}: jump law stalls at {acc!r} < 1 - {tail}")
+        pairs.append((len(pairs), w))
         acc += w
-        j += 1
+        poch_q, qk = poch_q * (1.0 - qk), qk * q
     return tuple(pairs), max(0.0, 1.0 - acc)
 
 
@@ -326,12 +329,11 @@ def sample_mixed_batch(
     blocked (code 2i+1) or stays even when pushed (code 2i) decides i's
     move: i jumps iff the running maximum of the codes is odd.
 
-    Move m reads the R * L uniforms at positions m * R * L onward of
-    sampler_stream(seed), row by row: R x L for a Bernoulli move,
-    R x (L - 1) for particles 2..L and then R for particle 1 for a geometric
-    move.  The rows run in chunks of rng._run_chunks, each reading its own
-    part of that range by position, so the bits do not depend on the
-    split."""
+    Move m reads blocks of sampler_stream(seed), one row per replica: an
+    R x L block at m * R * L for a Bernoulli move; R x (L - 1) for
+    particles 2..L at m * R * L, then R for particle 1 at
+    m * R * L + R * (L - 1), for a geometric move.  The rows run in chunks
+    (rng._run_chunks), and the split moves no bit."""
     if N < 1 or T < 0:
         raise ValueError(f"need N >= 1 and T >= 0, got N = {N}, T = {T}")
     path = TimeLikePath.from_moves("N" * (N - 1) + "T" * T)
@@ -380,7 +382,7 @@ def _mixed_kernel(
     # k_cap + 1; distance 0 stands for the virtual x_0, which never blocks
     unblocked = np.r_[1.0, 1.0 - p.q ** np.arange(k_cap + 1, dtype=np.float64)]
 
-    def _advance_rows(r0: int, r1: int, rng: np.random.Generator):
+    def _advance_rows(r0: int, r1: int, read):
         """Run every move on rows [r0, r1) of X.  It calls only numpy and
         private helpers, so it may run on a worker thread."""
         n = r1 - r0
@@ -407,7 +409,7 @@ def _mixed_kernel(
             start = m * R * L
             if move == "BER":
                 p_jump = a * param / (1.0 + a * param)
-                _draws_at(rng, start + r0 * L, V)
+                read(start, V)
                 # distances within each row, in one pass over the flattened
                 # rows; column 0 gets the virtual x_0's distance 0
                 np.subtract(Xf[:-1], Xf[1:], out=dist_f[1:])
@@ -425,12 +427,12 @@ def _mixed_kernel(
                 Xr += code
                 k = L - 1
             else:
-                _draws_at(rng, start + r0 * (L - 1), U)
+                read(start, U)
                 gaps = Xr[:, :k] - Xr[:, 1 : k + 1] - 1
                 for ai in bulk:
                     free = (gaps > 0) & (a[1 : k + 1] == ai)
                     Xr[:, 1 : k + 1][free] += tables[ai * param][0](gaps[free], U[:, :k][free])
-                _draws_at(rng, start + R * (L - 1) + r0, first)
+                read(start + R * (L - 1), first)
                 Xr[:, 0] += np.searchsorted(tables[p.a[0] * param][1], first)
                 k = min(k + 1, L - 1)
             if xp is not None:

@@ -10,11 +10,10 @@ parameters, seeds and exact-check inputs from them.
 Sampler streams, `sampler_stream(seed)`, feed the uniforms of the vertex and
 q-TASEP samplers, which draw far more of them.  They are PCG64DXSM (O'Neill,
 "PCG", HMC-CS-2014-0905), which costs about half as much a uniform, seeded
-through SeedSequence([seed, 0]).  PCG64DXSM can jump ahead k draws in
-O(log k) steps, so a sampler stream can be read from any position
-(`_draws_at`) without drawing what comes before it, and a batch sampler can
-split its replicas into chunks that each read only their own uniforms
-(`_run_chunks`).
+through SeedSequence([seed, 0]).  PCG64DXSM jumps ahead k draws in O(log k)
+steps, so a batch sampler splits its replica rows into chunks (`_run_chunks`)
+that each read only their rows of a block of uniforms (`_rows_reader`): the
+samplers name only where each block starts.
 """
 
 from __future__ import annotations
@@ -55,30 +54,28 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-class _SamplerStream(np.random.Generator):
-    """Generator over PCG64DXSM that keeps its seeded state for _draws_at."""
-
-    def __init__(self, seed: int):
-        seq = np.random.SeedSequence([_in_range("seed", seed), 0])
-        super().__init__(np.random.PCG64DXSM(seq))
-        self.seeded = self.bit_generator.state
-
-
 def sampler_stream(seed: int) -> np.random.Generator:
     """The samplers' uniform stream for `seed`; ValueError unless it lies in
     [0, 2**64)."""
-    return _SamplerStream(seed)
+    seq = np.random.SeedSequence([_in_range("seed", seed), 0])
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
-def _draws_at(gen: _SamplerStream, start: int, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with the uniforms at positions [start, start + out.size) of
-    the sampler stream `gen` was made for, whatever `gen` has drawn before.
-    Each uniform takes one 64-bit PCG64DXSM word, so the reader restores the
-    seeded state and advances it start words."""
-    bits = gen.bit_generator
-    bits.state = gen.seeded
-    bits.advance(start)
-    return gen.random(out=out)
+def _rows_reader(seed: int, r0: int, r1: int):
+    """read(start, out) for rows [r0, r1) of sampler_stream(seed): fill `out`
+    with those rows' part of the row-major block that starts at position
+    `start`, out.size // (r1 - r0) uniforms a row (zero rows read nothing),
+    and return it.  One uniform takes one 64-bit word, so a read restores the
+    seeded state and advances it to row r0 of the block."""
+    gen = sampler_stream(seed)
+    bits, seeded = gen.bit_generator, gen.bit_generator.state
+
+    def read(start: int, out: np.ndarray) -> np.ndarray:
+        bits.state = seeded
+        bits.advance(start + r0 * (out.size // max(r1 - r0, 1)))
+        return gen.random(out=out)
+
+    return read
 
 
 def offset_seed(seed: int, k: int) -> int:
@@ -94,20 +91,18 @@ def _chunk_count() -> int:
 
 
 def _run_chunks(body, rows: int, width: int, seed: int) -> None:
-    """Call body(r0, r1, gen) on contiguous chunks [r0, r1) of range(rows).
-
-    Each step of the caller draws rows * width uniforms of
-    sampler_stream(seed), width per row, and body reads its rows' part of
-    them by position (_draws_at) from gen, a generator of that stream of its
-    own.  A batch of at most _CHUNK_UNIFORMS uniforms a step runs as one
-    chunk on the calling thread; a larger one as chunks of at most that many,
-    at least one per CPU, on one thread per CPU.  So body's results do not depend on the split as
-    long as it writes only its own rows."""
+    """Call body(r0, r1, _rows_reader(seed, r0, r1)) on contiguous chunks
+    [r0, r1) of range(rows).  Each step of the caller reads a block of
+    rows * width uniforms of sampler_stream(seed), width per row.  A batch of
+    at most _CHUNK_UNIFORMS uniforms a step runs as one chunk on the calling
+    thread; a larger one as chunks of at most that many, at least one per
+    CPU, on one thread per CPU.  So body's results do not depend on the
+    split as long as it writes only its own rows."""
     n = min(rows, max(_chunk_count(), -(-rows * width // _CHUNK_UNIFORMS)))
     if n < 2 or rows * width <= _CHUNK_UNIFORMS:
-        body(0, rows, sampler_stream(seed))
+        body(0, rows, _rows_reader(seed, 0, rows))
         return
     bounds = [rows * i // n for i in range(n + 1)]
-    gens = [sampler_stream(seed) for _ in range(n)]
+    readers = [_rows_reader(seed, r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(min(n, len(os.sched_getaffinity(0)))) as pool:
-        list(pool.map(body, bounds[:-1], bounds[1:], gens))
+        list(pool.map(body, bounds[:-1], bounds[1:], readers))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import INFINITY, ModelParams, Partition, check_separated, check_window
 from .core import inv_cdf, q_pochhammer, replica_count
-from .rng import _draws_at, _run_chunks, sampler_stream
+from .rng import _run_chunks, sampler_stream
 
 U_COLLISION_TOL = 1e-12
 
@@ -156,13 +156,12 @@ def sample_quadrant_batch(
     """Vectorized sampler: returns heights of shape (n_samples, t_max+1, n_max+1)
     with heights[s, T, N-1] = h(N, T).  Used by the Monte Carlo checks.
 
-    The uniform of vertex k = (T-1) * n_max + (N-1) for replica s sits at
-    position k * S + s of sampler_stream(seed), S = n_samples.  The replicas
-    run in chunks of rng._run_chunks, each sweeping the whole window on its
-    own replicas and reading its own uniforms by position, so the bits do
-    not depend on the split.  The heights are stored replica-last, so
-    heights[:, T, N] is contiguous; the returned array is a view of that
-    storage with replicas first."""
+    Vertex k = (T-1) * n_max + (N-1) reads the block of S = n_samples
+    uniforms, one per replica, that starts at position k * S of
+    sampler_stream(seed).  Each chunk of replicas (rng._run_chunks) sweeps
+    the whole window on its own, and the split moves no bit.  The heights
+    are stored replica-last, so heights[:, T, N] is contiguous; the returned
+    array is a view of that storage with replicas first."""
     S = replica_count(n_samples)
     check_boundary(p, boundary)
     n_max, t_max = _window_check(p, window)
@@ -173,7 +172,7 @@ def sample_quadrant_batch(
     a = np.array(p.a[:n_max])[:, None]
     nu = np.array(p.nu[:n_max])[:, None]
 
-    def _sweep(s0: int, s1: int, rng: np.random.Generator):
+    def _sweep(s0: int, s1: int, read):
         """Sweep the window on replicas [s0, s1).  It calls only numpy and
         private helpers, so it may run on a worker thread."""
         n = s1 - s0
@@ -197,7 +196,7 @@ def sample_quadrant_batch(
                 np.multiply(j, G, out=at)
                 at += g
                 np.take(row, at, out=cut)
-                np.less(_draws_at(rng, k * S + s0, draws), cut, out=first)
+                np.less(read(k * S, draws), cut, out=first)
                 # unless first: g rises by one if j = 1, falls by one if
                 # j = 0, and j flips
                 g += j

@@ -275,6 +275,17 @@ def test_errors_exit_2_without_a_traceback(argv, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
 
 
+def test_stalled_jump_law_exits_2(tmp_path, capsys):
+    # particle 1 jumps at rate 0.999, whose summed weights stall short of
+    # the sampler's cut: the run used to loop forever
+    config = tmp_path / "near_one.json"
+    config.write_text(params_to_config(
+        ModelParams(q=0.5, u=(-1.0,), a=(1.0, 1.0), nu=(0.0, 0.999))))
+    assert main(["sample-qtasep", "--config", str(config), "--path", "N"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rate 0.999" in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(pathlib.Path(vertexlab.__file__).parents[1])
     code = "import sys, vertexlab.cli; print('scipy.stats' in sys.modules)"

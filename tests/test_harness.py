@@ -14,7 +14,7 @@ from vertexlab.harness import (
     draw_params,
     run_suite,
 )
-from vertexlab.rng import _draws_at, offset_seed, sampler_stream, stream
+from vertexlab.rng import _rows_reader, offset_seed, sampler_stream, stream
 
 
 def test_chi2_gof_calibration():
@@ -351,24 +351,31 @@ def test_parameter_streams_are_pinned():
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
-def test_draws_at_reads_the_stream_by_position(seed):
-    starts = [(0, 1), (0, 9), (1, 1), (3, 6), (6, 1), (13, 4), (4097, 3), (100_003, 5)]
-    for start, n in starts:
-        gen = sampler_stream(seed)
-        gen.random(5)  # what the generator drew before does not matter,
-        gen.integers(2**32, size=3, dtype=np.uint32)  # a half-used word neither
-        got = _draws_at(gen, start, np.empty(n))
-        want = sampler_stream(seed).random(start + n)[start:]
-        assert np.array_equal(got, want)
-    # far positions, against two jumps of 2**39 and an in-order read
-    for extra, n in [(0, 1), (3, 4), (2**20 + 3, 2)]:
-        gen = sampler_stream(seed)
-        gen.random(7)
-        got = _draws_at(gen, 2**40 + extra, np.empty(n))
+def test_rows_reader_reads_the_stream_by_position(seed):
+    def block(start, rows, width, skip=0):
+        """rows x width uniforms read in order from position skip + start."""
         ref = sampler_stream(seed)
-        ref.bit_generator.advance(2**39)
-        ref.bit_generator.advance(2**39)
-        assert np.array_equal(got, ref.random(extra + n)[extra:])
+        for _ in range(skip // 2**39):
+            ref.bit_generator.advance(2**39)
+        return ref.random(start + rows * width)[start:].reshape(rows, width)
+
+    # (block start, rows, width, chunk rows [r0, r1))
+    cases = [(0, 5, 1, 0, 5), (3, 5, 1, 2, 4), (13, 7, 3, 3, 7), (0, 4, 6, 1, 2),
+             (9, 7, 0, 2, 5), (11, 6, 4, 4, 4), (0, 3, 5, 3, 3),
+             (4097, 40, 6, 17, 23), (100_003, 3, 5, 1, 3)]
+    for start, rows, width, r0, r1 in cases:
+        read = _rows_reader(seed, r0, r1)
+        want = block(start, rows, width)[r0:r1]
+        out = np.empty((r1 - r0, width))
+        assert read(start, out) is out and np.array_equal(out, want)
+        # a second read, of the block at 0, does not depend on the first
+        assert np.array_equal(read(0, np.empty_like(out)), block(0, rows, width)[r0:r1])
+    # far positions, up to 2**40 + 2**20 + 3, against two jumps of 2**39
+    # and an in-order read
+    for start, rows, width, r0, r1 in [(0, 1, 1, 0, 1), (3, 4, 1, 1, 4),
+                                       (2**20, 2, 3, 1, 2)]:
+        got = _rows_reader(seed, r0, r1)(2**40 + start, np.empty((r1 - r0, width)))
+        assert np.array_equal(got, block(start, rows, width, 2**40)[r0:r1])
     # the sampler stream is not a parameter stream
     assert sampler_stream(seed).random() != stream(seed, 0).random()
 
@@ -394,3 +401,20 @@ def test_checks_gate_on_registered_tolerance(check_id):
     _, stat = run.__wrapped__(*args, math.inf)
     assert not run.__wrapped__(*args, np.nextafter(stat, -math.inf))[0]
     assert run.__wrapped__(*args, np.nextafter(stat, math.inf))[0]
+
+
+def test_check_results_are_python_bool_and_float():
+    # local-coupling and formal-identity compute numpy scalars; the wrapper
+    # hands back Python values, so json.dumps takes them as they are
+    for cid in ("local-coupling", "formal-identity"):
+        _, (result,) = run_suite([cid], seed=0, budget_scale=0.2)
+        assert type(result.passed) is bool and type(result.statistic) is float
+        json.dumps([result.passed, result.statistic])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: residue and product "
+                   "moments of route-triangle disagree past 1e-9")
+@pytest.mark.parametrize("seed", [957061, 144103])
+def test_route_triangle_known_misses(seed):
+    # statistic 9.81e-8 at seed 957061 and 6.06e-9 at seed 144103
+    assert harness.CHECKS["route-triangle"](seed=seed).passed

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from vertexlab import harness, rng
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.qtasep import (
+    EXACT_TAIL_CUT,
     GEOM_TAIL_CUT,
     _IndexedSearch,
     _gap_cap,
@@ -528,6 +530,33 @@ def test_q_geom_law_is_memoized_and_read_only():
     pairs, deficit = law
     assert type(pairs) is tuple and deficit == 0.0
     assert pairs == tuple((j, q_geom_pmf(3, 0.4, 0.5, j)) for j in range(4))
+
+
+@pytest.mark.parametrize("alpha", [0.999, 0.9999])
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("tail", [GEOM_TAIL_CUT, EXACT_TAIL_CUT])
+def test_q_geom_law_near_rate_one_ends(alpha, q, tail):
+    # near rate 1 the summed weights can stall short of 1 - tail; the cut
+    # used to add zero weights forever there, and recomputed (q; q)_j for
+    # every term
+    t0 = time.perf_counter()
+    try:
+        pairs, deficit = q_geom_law(INFINITY, alpha, q, tail)
+        assert deficit <= tail and len(pairs) > 1
+    except ValueError as exc:
+        assert f"rate {alpha}, q = {q}:" in str(exc) and f"< 1 - {tail}" in str(exc)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_q_geom_law_stall_raises_only_at_the_sampler_cut():
+    with pytest.raises(ValueError, match=r"rate 0.999, q = 0.5: jump law stalls at 0\.9999"):
+        q_geom_law(INFINITY, 0.999, 0.5)
+    pairs, deficit = q_geom_law(INFINITY, 0.999, 0.5, EXACT_TAIL_CUT)
+    assert deficit <= EXACT_TAIL_CUT
+    assert pairs[:50] == tuple((j, q_geom_pmf(INFINITY, 0.999, 0.5, j)) for j in range(50))
+    near_one = ModelParams(q=0.5, u=(-1.0,), a=(1.0, 1.0), nu=(0.0, 0.999))
+    with pytest.raises(ValueError, match="rate 0.999"):
+        sample_mixed_batch(near_one, 2, 0, 10, 0)
 
 
 # a_1 = 3 with alpha = c_2 = 0.5: particle 1 jumps at rate 1.5
