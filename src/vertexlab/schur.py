@@ -451,7 +451,6 @@ def asymptotic_equivalence_proxy(
     M: int,
     replicas: int,
     seed: int,
-    cutoff: int = 30,
 ) -> float:
     """Kolmogorov distance between the simulated law of x_{eta M} + eta M and
     the Fredholm law of tau M - ell(lambda^(M)).
@@ -464,7 +463,7 @@ def asymptotic_equivalence_proxy(
     N, T = int(eta * M), int(tau * M)
     s = SchurSetup(q=q, u=u, a1=a1, N=N, T=T)
     xs = _special_positions(q, u, a1, N, T, replicas, seed) + N
-    cdfs = fredholm_length_cdf(s, range(-1, T + 1), cutoff=cutoff)
+    cdfs = fredholm_length_cdf(s, range(-1, T + 1))
 
     def fred_cdf(y: int) -> float:
         k = T - y - 1  # P(tau M - ell <= y) = 1 - P(ell <= T - y - 1)

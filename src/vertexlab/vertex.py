@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,32 +219,30 @@ def row_partitions(t: int, cap: int):
 
 
 def _symmetrize(parts, u, nu, q: float, slot) -> float:
-    """The T!-term symmetrization shared by F^stoch and Phi_M * F^stoch: the
-    sum over permutations sigma of prod_{al<be} (u_sa - q u_sb) / (u_sa - u_sb)
-    times prod_i slot(parts[i], u_{sigma(i)}), with the multiplicity prefactor
-    prod_r (nu_r; q)_k / (q; q)_k."""
+    """The sum over permutations sigma of prod_{al<be} (u_sa - q u_sb) / (u_sa - u_sb)
+    times prod_i slot(parts[i], u_{sigma(i)}), times prod_r (nu_r; q)_k / (q; q)_k:
+    F^stoch and Phi_M * F^stoch.  It is summed over subsets of the u's by shared
+    suffixes, in 2^T * T^2 steps (Bellman 1962; Held-Karp 1962)."""
     t = len(parts)
     check_separated("u", u, U_COLLISION_TOL)
-    mult: dict = {}
-    for x in parts:
-        mult[x] = mult.get(x, 0) + 1
     pref = 1.0
-    for r, k in mult.items():
+    for r, k in Counter(parts).items():
         pref *= q_pochhammer(nu[r - 1], q, k) / q_pochhammer(q, q, k)
-    # slot_factor[i][s]: the i-th slot's product with spectral parameter u_s
+    # slot_factor[i][s]: slot i at u_s; cross[s][r]: u_s placed before u_r
     slot_factor = [[slot(parts[i], u[s]) for s in range(t)] for i in range(t)]
-    total = 0.0
-    for sigma in itertools.permutations(range(t)):
-        term = 1.0
-        for al in range(t):
-            for be in range(al + 1, t):
-                term *= (u[sigma[al]] - q * u[sigma[be]]) / (
-                    u[sigma[al]] - u[sigma[be]]
-                )
-        for i in range(t):
-            term *= slot_factor[i][sigma[i]]
-        total += term
-    return pref * total
+    cross = [[(u[s] - q * u[r]) / (u[s] - u[r]) if r != s else 1.0 for r in range(t)]
+             for s in range(t)]
+    # D[S]: the orderings of {u_s : s in S} over the last |S| slots, summed
+    D = [1.0] * (1 << t)
+    for S in range(1, 1 << t):
+        members = [s for s in range(t) if S >> s & 1]
+        D[S] = 0.0
+        for s in members:
+            term = slot_factor[t - len(members)][s] * D[S ^ (1 << s)]
+            for r in members:
+                term *= cross[s][r]
+            D[S] += term
+    return pref * D[-1]
 
 
 def _f_stoch_arrays(parts, u, a, nu, q: float) -> float:
@@ -259,12 +258,13 @@ def _f_stoch_arrays(parts, u, a, nu, q: float) -> float:
 
 def f_stoch(kappa, p: ModelParams, T: int) -> float:
     """Probability P(mu^(T) = kappa) under the step boundary, by the exact
-    T!-term symmetrized formula.  Intended for small T only (oracle use)."""
+    symmetrized formula in 2^T * T^2 steps (see _symmetrize)."""
     parts = tuple(Partition(tuple(kappa)).parts)
     if len(parts) != T or (parts and parts[-1] < 1):
         raise ValueError("kappa must have exactly T parts, all >= 1")
     if parts and parts[0] > len(p.a):
         raise ValueError("kappa exceeds available columns")
+    check_window(p, parts[0] if parts else 0, T)
     return _f_stoch_arrays(parts, p.u[:T], p.a, p.nu, p.q)
 
 

@@ -335,7 +335,7 @@ def test_stream_keys_keep_every_bit_of_large_seeds():
 def test_parameter_streams_are_pinned():
     # the first draws of stream(seed, k): the checks' parameter draws read
     # these bits, and so do the known-defect seeds of route-triangle
-    # (957061, stream 5) and sum-to-one (1080 and 1089, stream 2)
+    # (957061, stream 5) and sum-to-one (1080, 1089 and 1368, stream 2)
     pinned = {
         (0, 0): [0.011546754286331562, 0.24154919656271812, 0.11142585551493822],
         (0, 1): [0.8133540609793564, 0.7513314251083365, 0.6716490436969984],
@@ -343,6 +343,7 @@ def test_parameter_streams_are_pinned():
         (957061, 5): [0.6805491730924647, 0.6090098404807494, 0.7296523279040492],
         (1080, 2): [0.5917146929613212, 0.3973780484362325, 0.11738566357446922],
         (1089, 2): [0.16995112776301236, 0.2911593286289865, 0.7521177393022208],
+        (1368, 2): [0.08627195210505267, 0.9203417259416056, 0.18764723125422977],
         (2**64 - 1, 2**64 - 1): [0.4268615279451663, 0.5715123063997486,
                                  0.9912623766802293],
     }
@@ -410,6 +411,20 @@ def test_check_results_are_python_bool_and_float():
         _, (result,) = run_suite([cid], seed=0, budget_scale=0.2)
         assert type(result.passed) is bool and type(result.statistic) is float
         json.dumps([result.passed, result.statistic])
+
+
+@pytest.mark.parametrize("seed", [1089, 1150, 1357])
+def test_sum_to_one_seeds_the_permutation_loop_missed(seed):
+    # the T!-term loop read 4.45e-10, 1.56e-10 and 1.28e-9 on these draws
+    assert harness.CHECKS["sum-to-one"](seed=seed, budget=1).passed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the symmetrization "
+                   "cancels near colliding u's past 1e-10")
+@pytest.mark.parametrize("seed", [1080, 1368])
+def test_sum_to_one_known_misses(seed):
+    # statistic 2.07e-10 at seed 1080 and 2.73e-10 at seed 1368
+    assert harness.CHECKS["sum-to-one"](seed=seed, budget=1).passed
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: residue and product "

@@ -1,7 +1,11 @@
+import itertools
 import math
 import os
 import sys
+import time
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -256,6 +260,51 @@ def test_sum_to_one():
             assert abs(sum_f_stoch_truncated(p, T, N) - 1.0) < 1e-10
 
 
+def _f_stoch_mp(kappa, p, T):
+    """f_stoch at 50 digits by the T!-term permutation sum over orderings
+    sigma of prod_{al<be} (u_sa - q u_sb) / (u_sa - u_sb) times
+    prod_i slot(kappa_i, u_{sigma(i)}), with the multiplicity prefactor."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p.q)
+        u = [mpmath.mpf(x) for x in p.u[:T]]
+        a = [mpmath.mpf(x) for x in p.a]
+        nu = [mpmath.mpf(x) for x in p.nu]
+
+        def slot(r, us):
+            return (1 - q) / (1 - a[r - 1] * us) * mpmath.fprod(
+                (nu[j] - a[j] * us) / (1 - a[j] * us) for j in range(r - 1))
+
+        slots = [[slot(r, us) for us in u] for r in kappa]
+        cross = {(s, r): (u[s] - q * u[r]) / (u[s] - u[r])
+                 for s, r in itertools.permutations(range(T), 2)}
+        total = mpmath.mpf(0)
+        for sigma in itertools.permutations(range(T)):
+            term = mpmath.fprod(slots[i][s] for i, s in enumerate(sigma))
+            for al, be in itertools.combinations(range(T), 2):
+                term *= cross[sigma[al], sigma[be]]
+            total += term
+        for r, k in Counter(kappa).items():
+            total *= mpmath.qp(nu[r - 1], q, k) / mpmath.qp(q, q, k)
+        return float(total)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_f_stoch_matches_a_50_digit_permutation_sum(seed):
+    p = draw_params(stream(seed, 2), 6, 6)
+    for T in (5, 6):
+        for kappa in [*row_partitions(T, 2), tuple(range(T, 0, -1))]:
+            assert abs(f_stoch(kappa, p, T) - _f_stoch_mp(kappa, p, T)) < 1e-12, kappa
+
+
+def test_sum_to_one_at_eight_rows():
+    p = draw_params(stream(0, 2), 10, 8)
+    start = time.perf_counter()
+    err = abs(sum_f_stoch_truncated(p, 8, 1) - 1.0)
+    # the subset recursion takes about 10 ms here, the T! loop over 1 s
+    assert time.perf_counter() - start < 1.0
+    assert err < 1e-10
+
+
 def test_u_collision_rejected():
     p = ModelParams(q=0.5, u=(-1.0, -1.0), a=(1.0, 0.9), nu=(0.2, 0.3))
     with pytest.raises(ValueError, match="collision"):
@@ -346,10 +395,12 @@ def test_height_field_rejects_indices_outside_window():
      (lambda p: f_stoch((2, 1), p, 3), "exactly T parts"),
      (lambda p: f_stoch((2, 0), p, 2), "all >= 1"),
      (lambda p: f_stoch((11,), p, 1), "exceeds available columns"),
+     (lambda p: f_stoch((1, 1, 1), ModelParams(q=0.5, u=(-1.0, -2.0), a=(1.0,), nu=(0.2,)), 3),
+      "window exceeds available parameters"),
      (lambda p: f_stoch((1, 1), ModelParams(q=0.5, u=(-1.0, -1.0), a=(1.0,), nu=(0.2,)), 2),
       r"u collision: u\[0\] ~ u\[1\]")],
     ids=["j1", "i1-negative", "i1-fractional", "window-columns", "window-rows",
-         "kappa-length", "kappa-zero-part", "kappa-columns", "u-collision"],
+         "kappa-length", "kappa-zero-part", "kappa-columns", "kappa-rows", "u-collision"],
 )
 def test_guards_name_the_violated_condition(call, message):
     with pytest.raises(ValueError, match=message):
