@@ -138,22 +138,29 @@ def cmd_diffops_check(args) -> int:
     return 0 if res.passed else 1
 
 
+_SCHUR_SETUP = {"q": 0.5, "u": -2.0, "a1": 1.0, "N": 3, "T": 3}
+
+
 def cmd_schur(args) -> int:
     if args.cutoff is not None and args.mode != "length-pmf":
         raise ValueError("--cutoff applies only to --mode length-pmf")
     if args.r is not None and args.mode != "tracy-widom":
         raise ValueError("--r applies only to --mode tracy-widom")
-    s = schur.SchurSetup(q=args.q, u=args.u, a1=args.a1, N=args.N, T=args.T)
-    if args.mode == "length-pmf":
-        cutoff = 40 if args.cutoff is None else args.cutoff
-        pmf = schur.schur_length_pmf(s, part_cutoff=cutoff)
-        text = json.dumps({str(k): v for k, v in pmf.items()}, indent=2) + "\n"
-    elif args.mode == "fredholm":
-        cdf = schur.fredholm_length_cdf(s, range(s.T + 1))
-        text = json.dumps({str(k): v for k, v in cdf.items()}, indent=2) + "\n"
-    else:
+    # the setup flags default to SUPPRESS: only the given ones are set
+    given = {k: getattr(args, k) for k in _SCHUR_SETUP if hasattr(args, k)}
+    if args.mode == "tracy-widom":
+        if given:
+            raise ValueError(f"--{next(iter(given))} does not apply to --mode tracy-widom")
         r = 0.0 if args.r is None else args.r
         text = json.dumps({"r": r, "F": schur.tracy_widom_cdf(r)}) + "\n"
+    else:
+        s = schur.SchurSetup(**{**_SCHUR_SETUP, **given})
+        if args.mode == "length-pmf":
+            cutoff = 40 if args.cutoff is None else args.cutoff
+            law = schur.schur_length_pmf(s, part_cutoff=cutoff)
+        else:
+            law = schur.fredholm_length_cdf(s, range(s.T + 1))
+        text = json.dumps({str(k): v for k, v in law.items()}, indent=2) + "\n"
     _emit(args, f"schur_{args.mode}.json", text)
     return 0
 
@@ -229,11 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, config=False, seed=False)
     sp.add_argument("--mode", default="length-pmf",
                     choices=("length-pmf", "fredholm", "tracy-widom"))
-    sp.add_argument("--q", type=float, default=0.5)
-    sp.add_argument("--u", type=float, default=-2.0)
-    sp.add_argument("--a1", type=float, default=1.0)
-    sp.add_argument("--N", type=int, default=3)
-    sp.add_argument("--T", type=int, default=3)
+    for name, default in _SCHUR_SETUP.items():
+        sp.add_argument(f"--{name}", type=type(default), default=argparse.SUPPRESS,
+                        help=f"length-pmf and fredholm (default {default})")
     sp.add_argument("--cutoff", type=int, default=None,
                     help="part cutoff of --mode length-pmf (default 40)")
     sp.add_argument("--r", type=float, default=None,

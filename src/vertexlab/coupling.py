@@ -12,13 +12,13 @@ import json
 from dataclasses import dataclass
 
 from .core import INFINITY, ModelParams, check_window, params_digest
-from .qtasep import EXACT_TAIL_CUT, ParticleConfig, TimeLikePath, bernoulli_law
-from .qtasep import gaps, geometric_law, move_law, q_geom_law
+from .qtasep import EXACT_TAIL_CUT, ParticleConfig, TimeLikePath, gaps, move_law, q_geom_law
 from .vertex import check_boundary, vertex_weight_row
 
 # Infinite-support jump laws are cut at cumulative 1 - qtasep.EXACT_TAIL_CUT,
-# the DP drops joint weights below PRUNE_FLOOR, and a check passes when TV +
-# truncation deficit <= TV_TOL; cut and dropped mass is counted in the deficit.
+# the DP drops weights at or below PRUNE_FLOOR after each particle's step, and
+# a check passes when TV + truncation deficit <= TV_TOL; cut and dropped mass
+# is counted in the deficit.
 PRUNE_FLOOR = 1e-16
 TV_TOL = 1e-8
 
@@ -103,7 +103,8 @@ def _dagger_law(x, m: int, a, alpha: float, beta: float, q: float, keep: tuple):
     deficit = 0.0
     x_prev = INFINITY if m == 1 else x[m - 2]
     geom_pairs, d = q_geom_law(gaps(x)[m - 1], a[m - 1] * alpha, q, EXACT_TAIL_CUT)
-    for y, pb in _jumps_first(bernoulli_law(x[: m - 1], a, beta, q)):
+    moved, _ = move_law("BER", {(x[: m - 1], None): 1.0}, a, beta, q)
+    for (y, _), pb in moved.items():
         y_prev = INFINITY if m == 1 else y[m - 2]
         deficit += pb * d
         for j, pg in geom_pairs:
@@ -116,13 +117,6 @@ def _dagger_law(x, m: int, a, alpha: float, beta: float, q: float, keep: tuple):
     return law, deficit
 
 
-def _jumps_first(law: list) -> list:
-    """A Bernoulli law in jump-before-stay order of its patterns.  The last
-    bits of the TVs and deficits, and so of the check payloads, depend on
-    the order in which the sums over patterns run."""
-    return law[::-1]
-
-
 def joint_law_check_prop_A(x, m: int, a, alpha: float, beta: float, q: float):
     """Exact joint pmf of (y_{m-1}, y-dagger_m) vs (y_{m-1}, y^{BG}_m);
     returns (TV distance, truncation deficit)."""
@@ -130,7 +124,8 @@ def joint_law_check_prop_A(x, m: int, a, alpha: float, beta: float, q: float):
     # BG route: a Bernoulli move of particles 1..m, then the geometric jump
     # of particle m against the moved particle m-1.
     composed: dict = {}
-    for y, pb in _jumps_first(bernoulli_law(x[:m], a, beta, q)):
+    moved, _ = move_law("BER", {(tuple(x[:m]), None): 1.0}, a, beta, q)
+    for (y, _), pb in moved.items():
         y_prev = INFINITY if m == 1 else y[m - 2]
         pairs, d2 = q_geom_law(gaps(y)[m - 1], a[m - 1] * alpha, q, EXACT_TAIL_CUT)
         deficit += pb * d2
@@ -145,14 +140,14 @@ def joint_law_check_prop_B(x, m: int, a, alpha: float, beta: float, q: float):
     returns (TV distance, truncation deficit)."""
     dagger, deficit = _dagger_law(x, m, a, alpha, beta, q, keep=(1, 2))
     # GB route: independent geometric jumps of particles 1..m, then a
-    # Bernoulli move on the jumped configuration down to particle m.
-    composed: dict = {}
-    jumped, d2 = geometric_law(tuple(x[:m]), a, alpha, q)
+    # Bernoulli move on the jumped configuration down to particle m, with
+    # x'_m as the tag.
+    jumped, d2 = move_law("GEOM", {(tuple(x[:m]), None): 1.0}, a, alpha, q)
     deficit += d2
-    for xs, pg in jumped:
-        for y, pb in _jumps_first(bernoulli_law(xs, a, beta, q)):
-            key = (xs[m - 1], y[m - 1])
-            composed[key] = composed.get(key, 0.0) + pg * pb
+    tagged = {(xs, xs[m - 1]): pg for (xs, _), pg in jumped.items()}
+    composed: dict = {}
+    for (y, xm), w in move_law("BER", tagged, a, beta, q)[0].items():
+        composed[xm, y[m - 1]] = composed.get((xm, y[m - 1]), 0.0) + w
     return _tv(dagger, composed), deficit
 
 
@@ -214,18 +209,11 @@ def _tasep_joint_law(path: TimeLikePath, p: ModelParams, r: int):
     x0 = ParticleConfig.step(L).x
     states = {(x0, (x0[r - 1] + r,)): 1.0}
     for n1, _, move, param in path.steps(p, r):
-        moved: dict = {}
-        for (cfg, vals), prob in states.items():
-            law, d = move_law(move, cfg, p.a, param, p.q)
-            deficit += prob * d
-            for target, pr in law:
-                w = prob * pr
-                if w < PRUNE_FLOOR:
-                    deficit += w
-                    continue
-                key = (target, vals + (target[n1 + r - 2] + n1 + r - 1,))
-                moved[key] = moved.get(key, 0.0) + w
-        states = moved
+        states, d = move_law(move, states, p.a, param, p.q, PRUNE_FLOOR)
+        deficit += d
+        # re-keying is exact: the keys are unique, so no probabilities add
+        k = n1 + r - 1
+        states = {(x, vals + (x[k - 1] + k,)): w for (x, vals), w in states.items()}
     return _observed_law(states), deficit
 
 

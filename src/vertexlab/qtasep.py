@@ -449,50 +449,52 @@ def _mixed_kernel(
 EXACT_TAIL_CUT = 1e-12
 
 
-def bernoulli_law(cfg_x: tuple, a, beta: float, q: float):
-    """Exact law of one Bernoulli move from cfg_x: list of (new_x, prob)."""
-    probs = _jump_probs(cfg_x, a, beta, q)
-    out = []
-    for pattern in itertools.product((0, 1), repeat=len(cfg_x)):
-        prob = 1.0
-        prev = True
-        for (free, blocked), jumped in zip(probs, pattern):
-            p_jump = free if prev else blocked
-            prob *= p_jump if jumped else 1.0 - p_jump
-            prev = bool(jumped)
-        if prob > 0.0:
-            out.append((tuple(x + d for x, d in zip(cfg_x, pattern)), prob))
-    return out
+def move_law(move: str, states: dict, a, param: float, q: float, floor: float = 0.0):
+    """Exact law of one move from the weighted configurations `states`,
+    {(x, tag): weight}, all x of one length; tag rides along unchanged.
+    move is "BER" (param = beta) or "GEOM" (param = alpha).  Returns
+    ({(x', tag): weight}, deficit).
 
-
-def geometric_law(cfg_x: tuple, a, alpha: float, q: float):
-    """Exact law of one geometric move: list of (new_x, prob) plus the
-    truncation deficit of the first particle's infinite-support jump."""
-    per_particle = []
+    The particles move one at a time, and equal keys merge after each.  A
+    Bernoulli move runs from particle 1 on, and each key carries whether
+    the particle before stayed, so a blocked particle reads its pre-move
+    gap.  A geometric move runs from the last particle back, so each jump
+    law reads an unmoved predecessor.  A weight that a particle's step takes
+    to `floor` or below (a zero at floor 0) goes into the deficit, as does
+    the mass cut from the first particle's jump law at 1 - EXACT_TAIL_CUT.
+    With one source per tag and floor 0, each weight is the exact product
+    of the particles' factors."""
+    if move not in ("BER", "GEOM"):
+        raise ValueError(f"unknown move {move!r}")
+    L = len(next(iter(states))[0]) if states else 0
+    ber = move == "BER"
+    # key (x, tag, stayed); the virtual x_0 before particle 1 never blocks
+    layer = {(x, tag, False): w for (x, tag), w in states.items()}
     deficit = 0.0
-    for i, m in enumerate(gaps(cfg_x)):
-        pairs, d = q_geom_law(m, a[i] * alpha, q, EXACT_TAIL_CUT)
-        per_particle.append(pairs)
-        deficit += d
-    out = []
-    for joint in itertools.product(*per_particle):
-        prob = 1.0
-        for _, w in joint:
-            prob *= w
-        if prob > 0.0:
-            out.append((tuple(x + j for x, (j, _) in zip(cfg_x, joint)), prob))
-    return out, deficit
-
-
-def move_law(move: str, x: tuple, a, param: float, q: float):
-    """Exact law of one move from x: (list of (new_x, prob), truncation
-    deficit).  move is "BER" (param = beta; deficit 0.0) or "GEOM"
-    (param = alpha)."""
-    if move == "BER":
-        return bernoulli_law(x, a, param, q), 0.0
-    if move == "GEOM":
-        return geometric_law(x, a, param, q)
-    raise ValueError(f"unknown move {move!r}")
+    for i in range(L) if ber else range(L - 1, -1, -1):
+        rate = a[i] * param
+        free = rate / (1.0 + rate)
+        moved: dict = {}
+        for (x, tag, stayed), w in layer.items():
+            if ber:  # a predecessor that stayed is unmoved: x[i - 1] is pre-move
+                p = free * (1.0 - q ** (x[i - 1] - x[i] - 1)) if stayed else free
+                steps = ((1, p), (0, 1.0 - p))
+            else:
+                gap = INFINITY if i == 0 else x[i - 1] - x[i] - 1
+                steps, cut = q_geom_law(gap, rate, q, EXACT_TAIL_CUT)
+                deficit += w * cut
+            for j, pj in steps:
+                wj = w * pj
+                if wj <= floor:
+                    deficit += wj
+                    continue
+                key = (x[:i] + (x[i] + j,) + x[i + 1 :] if j else x, tag, ber and not j)
+                moved[key] = moved.get(key, 0.0) + wj
+        layer = moved
+    law: dict = {}
+    for (x, tag, _), w in layer.items():
+        law[x, tag] = law.get((x, tag), 0.0) + w
+    return law, deficit
 
 
 @dataclass
@@ -542,12 +544,12 @@ def transition_matrix(
     row_deficit = np.zeros(n)
     param = beta if move == "BER" else alpha
     for r, s in enumerate(states):
-        law, deficit = move_law(move, s, a, param, q)
-        for target, prob in law:
+        law, deficit = move_law(move, {(s, None): 1.0}, a, param, q)
+        for (target, _), prob in law.items():
             col = index.get(target)
             if col is None:
                 deficit += prob
             else:
-                mat[r, col] += prob
+                mat[r, col] = prob
         row_deficit[r] = deficit
     return TransitionMatrix(states, index, mat, row_deficit)

@@ -132,12 +132,22 @@ def test_schur_cli(tmp_path):
 @pytest.mark.parametrize(
     "mode,flag,value",
     [("fredholm", "--cutoff", "30"), ("tracy-widom", "--cutoff", "30"),
-     ("length-pmf", "--r", "1.0"), ("fredholm", "--r", "1.0")],
+     ("length-pmf", "--r", "1.0"), ("fredholm", "--r", "1.0"),
+     ("tracy-widom", "--q", "0.5"), ("tracy-widom", "--u", "1.0"),
+     ("tracy-widom", "--a1", "1.0"), ("tracy-widom", "--N", "7"),
+     ("tracy-widom", "--T", "3")],
 )
-def test_schur_flag_outside_its_mode_is_usage_error(mode, flag, value, tmp_path):
+def test_schur_flag_outside_its_mode_is_usage_error(mode, flag, value, tmp_path, capsys):
     code = main(["schur", "--mode", mode, flag, value, "--out", str(tmp_path)])
     assert code == 2
     assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+
+
+def test_schur_tracy_widom_names_the_setup_flag_before_checking_it(capsys):
+    # --u 1.0 is no admissible u, but tracy-widom does not read it
+    assert main(["schur", "--mode", "tracy-widom", "--r", "-1.5", "--u", "1.0"]) == 2
+    assert capsys.readouterr().err == "error: --u does not apply to --mode tracy-widom\n"
 
 
 def test_schur_length_pmf_cli(tmp_path):

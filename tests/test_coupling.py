@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
+from vertexlab import harness
 from vertexlab.core import INFINITY, ModelParams
 from vertexlab.coupling import (
+    TV_TOL,
     CouplingInputs,
     _tv,
     joint_law_check_prop_A,
@@ -11,6 +15,7 @@ from vertexlab.coupling import (
     y_dagger_law,
 )
 from vertexlab.qtasep import TimeLikePath
+from vertexlab.rng import stream
 
 
 def test_tv_equal_and_disjoint_laws():
@@ -166,6 +171,20 @@ def test_theorem_generalized_step_bernoulli():
     rep = theorem_coupling_check(TimeLikePath.from_moves("TNT"), p, r=2)
     assert rep.tv_distance + rep.truncation_deficit <= 1e-8
     assert rep.passed
+
+
+def test_theorem_nine_step_path():
+    # the check's random paths stop at four steps
+    p = harness.draw_params(stream(0, 11), 7, 5, bernoulli=True)
+    rep = theorem_coupling_check(TimeLikePath.from_moves("NNNNTTTTT"), p)
+    assert rep.passed and rep.tv_distance + rep.truncation_deficit <= TV_TOL
+
+
+def test_coupling_theorem_check_at_a_large_regime_runs_in_seconds():
+    # seed 3 draws a regime whose q-TASEP DP holds many configurations
+    start = time.perf_counter()
+    res = harness.CHECKS["coupling-theorem"](seed=3, budget=2)
+    assert res.passed and time.perf_counter() - start < 5.0
 
 
 def test_report_json_fields():

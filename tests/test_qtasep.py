@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -18,11 +19,9 @@ from vertexlab.qtasep import (
     _jump_tables,
     ParticleConfig,
     TimeLikePath,
-    bernoulli_law,
     bernoulli_move,
     box_configs,
     gaps,
-    geometric_law,
     geometric_move,
     move_law,
     q_geom_law,
@@ -90,8 +89,8 @@ def test_bernoulli_move_examples():
         hits += out.x[0] == 1
     assert abs(hits / n - 0.5) < 5 * math.sqrt(0.25 / n)
     # gap 0 and predecessor stays: blocked surely
-    law = dict(bernoulli_law((0, -1), (1.0, 1.0), 1.0, 0.5))
-    assert (0, 0) not in law  # x2 cannot jump onto x1
+    law, _ = move_law("BER", {((0, -1), None): 1.0}, (1.0, 1.0), 1.0, 0.5)
+    assert ((0, 0), None) not in law  # x2 cannot jump onto x1
 
 
 def test_moves_preserve_order_property():
@@ -149,11 +148,11 @@ def test_path_steps_schedule_the_moves():
 def test_run_mixed_two_move_law():
     # (N,T) = (2,1): matches brute-force enumeration of the 2-move law
     p = ModelParams(q=0.5, u=(-0.9,), a=(1.0, 1.0), nu=(0.35, 0.3))
+    law, _ = move_law("GEOM", {((-1, -2), None): 1.0}, p.a, p.c[1], p.q)
+    law, _ = move_law("BER", law, p.a, 0.9, p.q)
     exact: dict = {}
-    for cfg0, pr0 in geometric_law((-1, -2), p.a, p.c[1], p.q)[0]:
-        for cfg1, pr1 in bernoulli_law(cfg0, p.a, 0.9, p.q):
-            k = cfg1[1] + 2
-            exact[k] = exact.get(k, 0.0) + pr0 * pr1
+    for (cfg, _), pr in law.items():
+        exact[cfg[1] + 2] = exact.get(cfg[1] + 2, 0.0) + pr
     n = 60_000
     counts: dict = {}
     for s in range(n):
@@ -197,12 +196,69 @@ def test_transition_matrix_names_a_missing_move_parameter():
 
 
 def test_move_law():
+    # the tag rides along; an empty configuration moves nowhere
     x, a, q = (0, -2), (1.0, 0.9), 0.5
-    law, deficit = move_law("BER", x, a, 0.8, q)
-    assert deficit == 0.0 and law == bernoulli_law(x, a, 0.8, q)
-    assert move_law("GEOM", x, a, 0.3, q) == geometric_law(x, a, 0.3, q)
+    for move in ("BER", "GEOM"):
+        law, _ = move_law(move, {(x, ("seen", 3)): 1.0}, a, 0.3, q)
+        assert {tag for _, tag in law} == {("seen", 3)}
+        assert move_law(move, {((), "t"): 0.5}, a, 0.3, q) == ({((), "t"): 0.5}, 0.0)
     with pytest.raises(ValueError, match="unknown move 'HOP'"):
-        move_law("HOP", x, a, 0.3, q)
+        move_law("HOP", {(x, None): 1.0}, a, 0.3, q)
+
+
+def test_move_law_bernoulli_is_the_product_of_particle_factors():
+    # before the move particle 2 sits at gap 0 and particle 3 at gap 1
+    x, a, beta, q = (0, -1, -3), (1.0, 0.9, 1.2), 0.8, 0.5
+    free = [ai * beta / (1.0 + ai * beta) for ai in a]
+    want = {}
+    for d in itertools.product((0, 1), repeat=3):
+        p = (free[0], free[1] if d[0] else 0.0, free[2] if d[1] else free[2] * (1 - q))
+        w = math.prod(pi if di else 1.0 - pi for pi, di in zip(p, d))
+        if w:
+            want[tuple(xi + di for xi, di in zip(x, d)), "s"] = w
+    law, deficit = move_law("BER", {(x, "s"): 1.0}, a, beta, q)
+    assert ((0, 0, -3), "s") not in law  # blocked: particle 1 stayed
+    assert deficit == 0.0 and law.keys() == want.keys()
+    assert all(math.isclose(law[k], w, rel_tol=1e-15) for k, w in want.items())
+
+
+def test_move_law_geometric_is_the_product_of_particle_factors():
+    # gaps: infinite for particle 1, 0 for particle 2, 1 for particle 3
+    x, a, alpha, q = (0, -1, -3), (1.0, 0.9, 1.2), 0.4, 0.5
+    pairs, cut = q_geom_law(INFINITY, a[0] * alpha, q, EXACT_TAIL_CUT)
+    want = {}
+    for j1, w1 in pairs:
+        for j3 in (0, 1):
+            w = w1 * q_geom_pmf(0, a[1] * alpha, q, 0) * q_geom_pmf(1, a[2] * alpha, q, j3)
+            want[(x[0] + j1, x[1], x[2] + j3), None] = w
+    law, deficit = move_law("GEOM", {(x, None): 1.0}, a, alpha, q)
+    assert cut > 0.0 and math.isclose(deficit, cut, rel_tol=1e-15)
+    assert law.keys() == want.keys()
+    assert all(math.isclose(law[k], w, rel_tol=1e-15) for k, w in want.items())
+
+
+@pytest.mark.parametrize("move,param", [("BER", 0.8), ("GEOM", 0.3)])
+def test_move_law_merges_sources_by_weight(move, param):
+    a, q = (1.0, 0.9), 0.5
+    one = {((0, -2), "t"): 0.25, ((1, -2), "t"): 0.75}
+    law, deficit = move_law(move, one, a, param, q)
+    want: dict = {}
+    for key, w in one.items():
+        single, _ = move_law(move, {key: 1.0}, a, param, q)
+        for k, pr in single.items():
+            want[k] = want.get(k, 0.0) + w * pr
+    assert law.keys() == want.keys()
+    assert len(law) < 2 * len(single)  # the two sources share targets
+    assert all(abs(law[k] - w) <= 1e-16 for k, w in want.items())
+
+
+@pytest.mark.parametrize("move,param", [("BER", 0.05), ("GEOM", 0.3)])
+def test_move_law_drops_weights_at_the_floor_into_the_deficit(move, param):
+    a, q = (1.0, 0.9, 1.1), 0.5
+    states = {((0, -1, -3), "a"): 0.6, ((2, -1, -2), "b"): 0.3, ((2, 0, -2), "a"): 0.1}
+    law, deficit = move_law(move, states, a, param, q, floor=1e-3)
+    assert deficit > 0.0 and min(law.values()) > 1e-3
+    assert abs(sum(law.values()) + deficit - sum(states.values())) <= 1e-15
 
 
 def test_commutation_example():
@@ -256,21 +312,13 @@ def test_box_configs_lexicographic():
 def test_sample_mixed_batch_matches_exact():
     p = ModelParams(q=0.5, u=(-0.9, -1.1), a=(1.1, 0.9, 1.0), nu=(0.0, 0.3, 0.25))
     N, T = 3, 2
-    dist = {(-1, -2, -3): 1.0}
+    dist = {((-1, -2, -3), None): 1.0}
     for n in range(2, N + 1):
-        new: dict = {}
-        for cfg, pr in dist.items():
-            for tgt, w in geometric_law(cfg, p.a, p.c[n - 1], p.q)[0]:
-                new[tgt] = new.get(tgt, 0.0) + pr * w
-        dist = new
+        dist, _ = move_law("GEOM", dist, p.a, p.c[n - 1], p.q)
     for t in range(T):
-        new = {}
-        for cfg, pr in dist.items():
-            for tgt, w in bernoulli_law(cfg, p.a, -p.u[t], p.q):
-                new[tgt] = new.get(tgt, 0.0) + pr * w
-        dist = new
+        dist, _ = move_law("BER", dist, p.a, -p.u[t], p.q)
     exact: dict = {}
-    for cfg, pr in dist.items():
+    for (cfg, _), pr in dist.items():
         exact[cfg[N - 1]] = exact.get(cfg[N - 1], 0.0) + pr
     S = 200_000
     X = sample_mixed_batch(p, N, T, S, seed=3)
@@ -295,17 +343,13 @@ def test_sample_mixed_batch_first_jump_not_capped():
 def test_sample_mixed_batch_bernoulli_only_with_spectators():
     # N = 1 builds no jump table; the blocking factor q^gap still applies
     p = ModelParams(q=0.6, u=(-0.8, -1.3), a=(1.2, 0.9, 1.0), nu=(0.0, 0.3, 0.4))
-    dist = {(-1, -2, -3): 1.0}
+    dist = {((-1, -2, -3), None): 1.0}
     for t in range(2):
-        new: dict = {}
-        for cfg, pr in dist.items():
-            for tgt, w in bernoulli_law(cfg, p.a, -p.u[t], p.q):
-                new[tgt] = new.get(tgt, 0.0) + pr * w
-        dist = new
+        dist, _ = move_law("BER", dist, p.a, -p.u[t], p.q)
     S = 200_000
     X = sample_mixed_batch(p, 1, 2, S, seed=5, L=3)
     emp = {tuple(r): c / S for r, c in zip(*np.unique(X, axis=0, return_counts=True))}
-    for cfg, want in dist.items():
+    for (cfg, _), want in dist.items():
         se = math.sqrt(max(want * (1 - want), 1e-12) / S)
         assert abs(emp.get(cfg, 0.0) - want) < 5 * se + 1e-9
 

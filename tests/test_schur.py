@@ -235,25 +235,17 @@ def test_tracy_widom_nodes_cached_read_only():
 
 
 def test_simulator_matches_exact_small_law():
-    from vertexlab.qtasep import bernoulli_law, geometric_law
+    from vertexlab.qtasep import move_law
 
     q, u, a1, N, T = 0.5, -1.0, 1.2, 3, 3
     a = (a1, 1.0, 1.0)
-    dist = {(-1, -2, -3): 1.0}
+    dist = {((-1, -2, -3), None): 1.0}
     for _ in range(N - 1):
-        new = {}
-        for cfg, pr in dist.items():
-            for tgt, w in geometric_law(cfg, a, q, q)[0]:
-                new[tgt] = new.get(tgt, 0.0) + pr * w
-        dist = new
+        dist, _ = move_law("GEOM", dist, a, q, q)
     for _ in range(T):
-        new = {}
-        for cfg, pr in dist.items():
-            for tgt, w in bernoulli_law(cfg, a, -u, q):
-                new[tgt] = new.get(tgt, 0.0) + pr * w
-        dist = new
+        dist, _ = move_law("BER", dist, a, -u, q)
     exact: dict = {}
-    for cfg, pr in dist.items():
+    for (cfg, _), pr in dist.items():
         exact[cfg[N - 1]] = exact.get(cfg[N - 1], 0.0) + pr
     S = 150_000
     xs = _special_x(q, u, a1, N, T, S, seed=3)
